@@ -38,6 +38,7 @@ from .errors import (
     IndeterminateSignError,
     InfeasibleToleranceError,
     PThetaError,
+    RangeOverflowError,
     SeedFailureError,
     SeparationValidationError,
     StepUnderflowError,
@@ -95,6 +96,7 @@ __all__ = [
     "IndeterminateSignError", "ContourError", "UnresolvedBracketError",
     "CountMismatchError", "StepUnderflowError", "AmbiguousIndexError",
     "SeparationValidationError", "SeedFailureError", "ConvergenceError",
+    "RangeOverflowError",
     "SeparationResult", "separating_line", "separating_line_A",
     "left_separating_line_B", "right_separating_line_B",
     "monotonicity_in_b_probe",

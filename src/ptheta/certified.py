@@ -18,15 +18,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ddarith import (
-    cdd_abs1,
-    cdd_add,
-    cdd_mul,
-    cdd_mul_dd,
-    dd_from_int,
-    dd_mul,
-    dd_pow_int,
-)
+from .ddarith import cdd_mul, dd_from_int, dd_pow_int
 from .errors import DomainError, InfeasibleToleranceError, IndeterminateSignError
 
 EPS = 2.220446049250313e-16
@@ -191,9 +183,19 @@ def truncation_order(q_abs: float, x_abs: float, tol: float):
     Returns (N, tail_bound).  The tail bound T(N) is the first omitted term
     over 1 - ratio, valid because successive term ratios q^{j+1} x only
     decrease.  Computed in log space to survive extreme magnitudes.
+
+    N is solved in closed form.  With k = N + 1,
+    ln T(N) = tri(k) ln q + k ln x - log1p(-r) and the log1p term is >= 0, so
+    every admissible k is at least the larger root k+ of the quadratic
+    tri(k) ln q + k ln x = ln tol; past the ratio threshold n0 that quadratic
+    falls by at least ln 2 per step, and the log1p term is at most ln 2.
+    Stepping up by one from just below k+ against the exact ln T therefore
+    reaches the smallest admissible N within a few evaluations.
     """
     if math.isnan(q_abs) or q_abs < 0 or q_abs >= 1.0:
         raise DomainError(f"truncation_order requires 0 <= q_abs < 1, got {q_abs}")
+    if not x_abs < math.inf:
+        raise DomainError(f"truncation_order requires a finite x_abs, got {x_abs}")
     if tol <= 0:
         raise DomainError("tol must be positive")
     if x_abs == 0.0 or q_abs == 0.0:
@@ -218,25 +220,29 @@ def truncation_order(q_abs: float, x_abs: float, tol: float):
         raise InfeasibleToleranceError(
             f"truncation order {n0} exceeds cap {cap} (q_abs={q_abs}, x_abs={x_abs})"
         )
-    if log_tail(n0) <= log_tol:
-        n = n0
-    else:
-        lo, hi = n0, cap
-        if log_tail(hi) > log_tol:
-            raise InfeasibleToleranceError(
-                f"tolerance {tol} unreachable within cap {cap} "
-                f"(q_abs={q_abs}, x_abs={x_abs})"
-            )
-        while hi - lo > 1:  # T(N) decreases for N >= n0
-            mid = (lo + hi) // 2
-            if log_tail(mid) <= log_tol:
-                hi = mid
-            else:
-                lo = mid
-        n = hi
-    # small exponent slack absorbs the log-space rounding
-    tail = math.exp(min(log_tail(n) + 1e-6, 700.0))
-    return n, tail
+    n = max(n0, _quadratic_root(lq, 0.5 * lq + lx, log_tol) - 2)
+    while n <= cap:
+        lt = log_tail(n)
+        if lt <= log_tol:
+            # small exponent slack absorbs the log-space rounding
+            return n, math.exp(min(lt + 1e-6, 700.0))
+        n += 1
+    raise InfeasibleToleranceError(
+        f"tolerance {tol} unreachable within cap {cap} "
+        f"(q_abs={q_abs}, x_abs={x_abs})"
+    )
+
+
+def _quadratic_root(lq: float, b: float, c: float) -> int:
+    """ceil of the larger root k+ of (lq/2) k^2 + b k = c (lq < 0), or 0 when
+    the left side stays below c; every k with a value <= c past the vertex is
+    >= k+.  The root is formed without cancellation, so it is off by far less
+    than one step; callers start one step below."""
+    disc = b * b + 2.0 * lq * c
+    if disc <= 0.0:
+        return 0
+    s = math.sqrt(disc)
+    return math.ceil((b + s) / -lq if b > 0.0 else -2.0 * c / (s - b))
 
 
 def falling(e: int, n: int) -> int:
@@ -266,8 +272,23 @@ def derivative_truncation(q_abs: float, x_abs: float, m: int, nq: int, tol: floa
 
     Successive term ratios (coefficient growth times q^{j+1} x) decrease in j,
     so once the ratio at the first omitted term is <= 1/2 the tail is bounded
-    by twice that term.
+    by twice that term.  Returns (n, tail) for the smallest n >= max(j0+2, 3),
+    j0 the first index with a nonzero coefficient, at which that ratio is
+    <= 1/2 and twice that term is <= tol.
+
+    Both conditions, once met, hold for every larger n, so n is found by
+    stepping up by one from a lower bound.  The coefficients are integers
+    >= 1 that increase with j, so dropping the coefficient ratio gives
+    (k+1) ln q + ln x <= -ln 2 with k = n + 1, and bounding the coefficient
+    below by its value at a smaller index gives a quadratic in k whose larger
+    root bounds k below (less one, where the ratio threshold lies left of the
+    quadratic's vertex).  Two refinements of the coefficient leave a few
+    steps to take.
     """
+    if math.isnan(q_abs) or q_abs < 0 or q_abs >= 1.0:
+        raise DomainError(f"derivative_truncation requires 0 <= q_abs < 1, got {q_abs}")
+    if not x_abs < math.inf:
+        raise DomainError(f"derivative_truncation requires a finite x_abs, got {x_abs}")
     if tol <= 0:
         raise DomainError("tol must be positive")
     j0 = m
@@ -279,20 +300,32 @@ def derivative_truncation(q_abs: float, x_abs: float, m: int, nq: int, tol: floa
     cap = n_cap()
     lq = math.log(q_abs)
     lx = math.log(x_abs)
+    log_tol = math.log(tol)
 
     def log_term(j: int) -> float:
         return math.log(deriv_coeff(j, m, nq)) + (tri(j) - nq) * lq + (j - m) * lx
 
-    def log_ratio(j: int) -> float:
-        return log_term(j + 1) - log_term(j)
-
+    # k = n + 1 >= k_ratio from the ratio, and >= the quadratic's root, less
+    # one where k_ratio lies left of its vertex; one more step of slack
+    # covers rounding.  Each pass raises the coefficient's floor to c(n+1).
+    k_ratio = math.ceil((-LN2 - lx) / lq - 1.0)
+    b = 0.5 * lq + lx
     n = max(j0 + 2, 3)
+    log_c = 0.0
+    for _ in range(2):
+        rhs = log_tol - LN2 + nq * lq + m * lx - log_c
+        n = max(n, max(k_ratio, _quadratic_root(lq, b, rhs)) - 3)
+        if n >= cap:
+            break
+        log_c = math.log(deriv_coeff(n + 1, m, nq))
+    lt = log_term(n + 1) if n <= cap else math.inf
     while n <= cap:
-        lt = log_term(n + 1)
-        if log_ratio(n + 1) <= -LN2 and lt + LN2 <= math.log(tol):
+        lt_next = log_term(n + 2)
+        if lt_next - lt <= -LN2 and lt + LN2 <= log_tol:
             tail = math.exp(min(lt + LN2 + 1e-6, 700.0))
             return n, tail
-        n += 1 + n // 8
+        n += 1
+        lt = lt_next
     raise InfeasibleToleranceError(
         f"derivative tolerance {tol} unreachable within cap {cap}"
     )
@@ -305,19 +338,15 @@ def derivative_truncation(q_abs: float, x_abs: float, m: int, nq: int, tol: floa
 def theta_sum(qh, ql, x4, n):
     """Partial sum of the series to order n in complex double-double.
 
-    Returns (value4, abs_sum, j_sum, e_sum): the DD value, an upper bound on
-    sum |t_j|, and the sensitivity weights sum j|t_j| (bounds |x d/dx|) and
-    sum e_j|t_j| (bounds |q d/dq|).  The DD arithmetic is inlined: this loop
-    dominates the package's runtime.
+    Returns (value4, abs_sum): the DD value and an upper bound on sum |t_j|.
+    The DD arithmetic is inlined: this loop dominates the package's runtime.
     """
     xrh, xrl, xih, xil = x4
     srh, srl, sih, sil = 1.0, 0.0, 0.0, 0.0
     trh, trl, tih, til = 1.0, 0.0, 0.0, 0.0
     qph, qpl = 1.0, 0.0
     abs_sum = 1.0
-    j_sum = 0.0
-    e_sum = 0.0
-    for j in range(1, n + 1):
+    for _ in range(n):
         # qp *= q
         p = qph * qh
         c = _SPL * qph; ah = c - (c - qph); al = qph - ah
@@ -369,23 +398,22 @@ def theta_sum(qh, ql, x4, n):
         if a == 0.0:
             break
         abs_sum += a
-        j_sum += j * a
-        e_sum += tri(j) * a
-    return (srh, srl, sih, sil), abs_sum, j_sum, e_sum
+    return (srh, srl, sih, sil), abs_sum
 
 
 def theta_sum_real(qh, ql, xh, xl, n):
-    """Real-argument fast path of :func:`theta_sum` (inlined DD)."""
+    """Real-argument fast path of :func:`theta_sum` (inlined DD).
+
+    Returns (value4, abs_sum) with a zero imaginary part in value4.
+    """
     sh, sl = 1.0, 0.0
     th, tl = 1.0, 0.0
     qph, qpl = 1.0, 0.0
     abs_sum = 1.0
-    j_sum = 0.0
-    e_sum = 0.0
     c = _SPL * xh
     xhh = c - (c - xh)
     xhl = xh - xhh
-    for j in range(1, n + 1):
+    for _ in range(n):
         # qp *= q
         p = qph * qh
         c = _SPL * qph; ah = c - (c - qph); al = qph - ah
@@ -411,17 +439,16 @@ def theta_sum_real(qh, ql, xh, xl, n):
         if a == 0.0:
             break
         abs_sum += a
-        j_sum += j * a
-        e_sum += tri(j) * a
-    return (sh, sl, 0.0, 0.0), abs_sum, j_sum, e_sum
+    return (sh, sl, 0.0, 0.0), abs_sum
 
 
 def theta_deriv_sum(qh, ql, x4, n, m, nq):
     """Term-wise differentiated series, m times in x and nq times in q.
 
     Coefficients are exact Python ints converted losslessly to DD; the power
-    part q^{e_j - nq} x^{j - m} advances by * q^{j+1} * x per step.  Inlined
-    DD arithmetic, same as :func:`theta_sum`.
+    part q^{e_j - nq} x^{j - m} advances by * q^{j+1} * x per step.  Returns
+    (value4, abs_sum) like :func:`theta_sum`, with the same inlined DD
+    arithmetic.
     """
     j0 = m
     while deriv_coeff(j0, m, nq) == 0:
@@ -435,8 +462,6 @@ def theta_deriv_sum(qh, ql, x4, n, m, nq):
     qph, qpl = dd_pow_int(qh, ql, j0)
     srh, srl, sih, sil = 0.0, 0.0, 0.0, 0.0
     abs_sum = 0.0
-    j_sum = 0.0
-    e_sum = 0.0
     for j in range(j0, n + 1):
         ch, cl = deriv_coeff_dd(j, m, nq)
         # t = pw * c (complex DD times real DD), s += t
@@ -457,8 +482,6 @@ def theta_deriv_sum(qh, ql, x4, n, m, nq):
         sih = s + e; sil = e - (sih - s)
         a = abs(trh) + abs(tih)
         abs_sum += a
-        j_sum += (j - m) * a
-        e_sum += (tri(j) - nq) * a
         # qp *= q
         p = qph * qh
         c = _SPL * qph; ah = c - (c - qph); al = qph - ah
@@ -500,7 +523,7 @@ def theta_deriv_sum(qh, ql, x4, n, m, nq):
         pih = s + e; pil = e - (pih - s)
         if a == 0.0 and abs(prh) + abs(pih) == 0.0:
             break
-    return (srh, srl, sih, sil), abs_sum, j_sum, e_sum
+    return (srh, srl, sih, sil), abs_sum
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +546,25 @@ def series_log_max_term(q_abs: float, x_abs: float) -> float:
     return best
 
 
-def predicted_direct_err(q_abs: float, x_abs: float, tol: float) -> float:
-    """Estimated err of the direct series route (tail + rounding)."""
+def direct_route_order(q_abs: float, x_abs: float, tol: float):
+    """Estimated err of the direct series route, with the order behind it.
+
+    Returns (err, order): order is (N, tail) from :func:`truncation_order` at
+    the same arguments, so a caller taking the direct route need not solve
+    for it again, or None when it is infeasible.  err is inf then, and when
+    the largest term passes e^690.
+    """
     try:
         n, tail = truncation_order(q_abs, x_abs, tol)
     except InfeasibleToleranceError:
-        return math.inf
+        return math.inf, None
     log_max = series_log_max_term(q_abs, x_abs)
     if log_max > 690.0:
-        return math.inf
+        return math.inf, (n, tail)
     abs_sum_est = math.exp(log_max) * (n + 1)
-    return tail + rounding_bound(n, abs_sum_est, 0.0)
+    return tail + rounding_bound(n, abs_sum_est, 0.0), (n, tail)
+
+
+def predicted_direct_err(q_abs: float, x_abs: float, tol: float) -> float:
+    """Estimated err of the direct series route (tail + rounding)."""
+    return direct_route_order(q_abs, x_abs, tol)[0]

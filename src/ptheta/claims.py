@@ -188,7 +188,7 @@ def check_theta_at_minus6(n_low: int = 500, n_high: int = 100,
 
 def theta_partial_sum(q: float, x: float, n: int) -> CertifiedValue:
     """Degree-n truncation of the series, certified (rounding error only)."""
-    s4, abs_sum, _, _ = theta_sum_real(q, 0.0, float(x), 0.0, n)
+    s4, abs_sum = theta_sum_real(q, 0.0, float(x), 0.0, n)
     return CertifiedValue(s4[0], rounding_bound(n, abs_sum * 1.000001, abs(s4[0])))
 
 

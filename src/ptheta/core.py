@@ -25,7 +25,7 @@ from .certified import (
     CertifiedValue,
     Q_MAX,
     derivative_truncation,
-    predicted_direct_err,
+    direct_route_order,
     require_q,
     rounding_bound,
     theta_deriv_sum,
@@ -44,12 +44,19 @@ from .ddarith import (
     dd_pow_int,
     dd_sqrt,
 )
-from .errors import ContourError, DomainError
+from .errors import ContourError, DomainError, RangeOverflowError
 from .tripleprod import theta_via_triple_product
 
 
 def _is_real(x4) -> bool:
     return x4[2] == 0.0 and x4[3] == 0.0
+
+
+def _finite(x) -> complex:
+    x = complex(x)
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise DomainError(f"x must be finite, got {x}")
+    return x
 
 
 def _realify(cv: CertifiedValue) -> CertifiedValue:
@@ -59,38 +66,46 @@ def _realify(cv: CertifiedValue) -> CertifiedValue:
     return cv
 
 
-def _cv_from_sum(s4, n, tail, abs_sum, extra_err=0.0) -> CertifiedValue:
+def _cv_from_sum(s4, n, tail, abs_sum) -> CertifiedValue:
     if _is_real(s4):
         v = s4[0]
     else:
         v = cdd_hi(s4)
-    err = tail + rounding_bound(n, abs_sum * 1.000001, abs(v)) + extra_err
+    try:
+        err = tail + rounding_bound(n, abs_sum * 1.000001, abs(v))
+    except OverflowError:  # |v| itself overflows
+        err = math.inf
+    if not err < math.inf:
+        raise RangeOverflowError(f"series value {v} lies past binary64")
     return CertifiedValue(v, err)
 
 
-def _theta_direct_dd(q2, x4, tol) -> CertifiedValue:
-    n, tail = truncation_order(abs(q2[0]), cdd_abs1(x4), tol)
+def _theta_direct_dd(q2, x4, tol, order=None) -> CertifiedValue:
+    """Direct series at the order (N, tail) if given, else at the order
+    solved here."""
+    n, tail = order or truncation_order(abs(q2[0]), math.hypot(x4[0], x4[2]), tol)
     if _is_real(x4):
-        s4, abs_sum, _, _ = theta_sum_real(q2[0], q2[1], x4[0], x4[1], n)
+        s4, abs_sum = theta_sum_real(q2[0], q2[1], x4[0], x4[1], n)
     else:
-        s4, abs_sum, _, _ = theta_sum(q2[0], q2[1], x4, n)
+        s4, abs_sum = theta_sum(q2[0], q2[1], x4, n)
     return _cv_from_sum(s4, n, tail, abs_sum)
 
 
 def _theta_eval_dd(q2, x4, tol, q_max, allow_split=True) -> CertifiedValue:
-    """Routed evaluation with DD parameter and argument."""
+    """Routed evaluation with DD parameter and argument; the truncation order
+    is solved once and reused by the direct route."""
     qh = q2[0]
     if qh == 0.0 or cdd_abs1(x4) == 0.0:
         return CertifiedValue(1.0, 0.0)
     xa = math.hypot(x4[0], x4[2])
-    predicted = predicted_direct_err(abs(qh), xa, tol)
+    predicted, order = direct_route_order(abs(qh), xa, tol)
     if predicted <= max(tol, 1e-13):
-        return _theta_direct_dd(q2, x4, tol)
+        return _theta_direct_dd(q2, x4, tol, order)
     if qh > 0.0:
         return _theta_split_positive(q2, x4, tol)
     if allow_split:
         return _decompose_dd(q2, x4, tol, q_max).recombined
-    return _theta_direct_dd(q2, x4, tol)
+    return _theta_direct_dd(q2, x4, tol, order)
 
 
 def _theta_split_positive(q2, x4, tol) -> CertifiedValue:
@@ -129,7 +144,7 @@ def theta_certified(
     if q == 0.0:
         return CertifiedValue(1.0, 0.0)
     require_q(q, q_max)
-    x = complex(x)
+    x = _finite(x)
     if x == 0:
         return CertifiedValue(1.0, 0.0)
     x4 = cdd_from(x)
@@ -187,7 +202,7 @@ def _deriv_cv(q2, x4, m, nq, tol) -> CertifiedValue:
     qh = q2[0]
     xa = math.hypot(x4[0], x4[2])
     n, tail = derivative_truncation(abs(qh), xa, m, nq, tol)
-    s4, abs_sum, _, _ = theta_deriv_sum(qh, q2[1], x4, n, m, nq)
+    s4, abs_sum = theta_deriv_sum(qh, q2[1], x4, n, m, nq)
     return _cv_from_sum(s4, n, tail, abs_sum)
 
 
@@ -205,7 +220,7 @@ def theta_derivative(
     if dx_order + dq_order < 1:
         raise DomainError("at least one derivative order must be positive")
     require_q(q, q_max)
-    return _deriv_cv((q, 0.0), cdd_from(complex(x)), dx_order, dq_order, tol)
+    return _deriv_cv((q, 0.0), cdd_from(_finite(x)), dx_order, dq_order, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -52,14 +52,6 @@ def dd_add(ah, al, bh, bl):
     return quick_two_sum(s, e)
 
 
-def dd_neg(ah, al):
-    return -ah, -al
-
-
-def dd_sub(ah, al, bh, bl):
-    return dd_add(ah, al, -bh, -bl)
-
-
 def dd_mul(ah, al, bh, bl):
     p, e = two_prod(ah, bh)
     e = e + (ah * bl + al * bh)
@@ -71,12 +63,6 @@ def dd_mul_d(ah, al, b):
     p, e = two_prod(ah, b)
     e = e + al * b
     return quick_two_sum(p, e)
-
-
-def dd_add_d(ah, al, b):
-    s, e = two_sum(ah, b)
-    e = e + al
-    return quick_two_sum(s, e)
 
 
 def dd_div(ah, al, bh, bl):

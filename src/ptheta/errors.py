@@ -13,6 +13,10 @@ class InfeasibleToleranceError(PThetaError):
     """Requested tolerance needs a truncation order beyond the configured cap."""
 
 
+class RangeOverflowError(PThetaError):
+    """A result, an intermediate product, or an error bound overflows binary64."""
+
+
 class IndeterminateSignError(PThetaError):
     """A sign decision was requested but |value| <= err."""
 

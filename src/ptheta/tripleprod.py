@@ -41,7 +41,7 @@ from .ddarith import (
     dd_add,
     dd_mul,
 )
-from .errors import DomainError, InfeasibleToleranceError
+from .errors import DomainError, InfeasibleToleranceError, RangeOverflowError
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,8 @@ def _theta_star_dd(q2, x4, rel_tol: float) -> CertifiedValue:
             p = (nrh, nrl, nih, nil)
     value = cdd_hi(p)
     err = abs(value) * (rel_round + rel_trunc) + 2.0 * EPS * abs(value)
+    if not err < math.inf:
+        raise RangeOverflowError(f"the product {value} lies past binary64")
     return _realify(value, err)
 
 

@@ -59,6 +59,12 @@ class TestEval:
         assert r.returncode == 3
         assert "numerical failure" in r.stderr
 
+    def test_value_past_binary64_is_numerical_failure(self):
+        r = run_cli("eval", "--q", "0.5", "--x=-1e30")
+        assert r.returncode == 3
+        assert "numerical failure" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestZeros:
     def test_csv_header_and_rows(self):

@@ -19,7 +19,7 @@ from ptheta.core import (
     theta_certified,
     theta_derivative,
 )
-from ptheta.errors import ContourError, DomainError
+from ptheta.errors import ContourError, DomainError, PThetaError, RangeOverflowError
 from ptheta.oracle import theta_deriv_ref, theta_ref
 
 # 50-digit direct-summation references
@@ -29,6 +29,42 @@ THETA_MHALF_1P5 = mp.mpf("0.02619111234604077845832")
 PHI2_HALF = mp.mpf("0.7793569639034671481519")
 NU_QUARTER = mp.mpf("0.5605621040012902511762")
 THETA_XX_03_M1 = mp.mpf("0.04969657213557451691673")
+
+# (q, x, tol, value, err) on the direct route with real x, as computed with
+# the bisection order solve and a second order solve inside the kernel call;
+# solving the order once, in closed form, must reproduce them bit for bit.
+DIRECT_REAL_REFERENCE = [
+    (0.28908354404729864, 7.813170492473343, 1e-09, 5.027230418541053, 5.511512346085806e-13),
+    (0.8387509062000761, -0.7796808474640375, 1e-12, 0.5873176765605815, 7.985157662994597e-13),
+    (0.2659556531462356, -4.1303206225237155, 1e-12, 0.1980143077685739, 2.5428289053816085e-16),
+    (0.25621225071627934, 9.680086925804659, 1e-14, 5.323570451666332, 2.3659595359929013e-15),
+    (-0.6806631165039047, 10.699550837904308, 1e-09, -106.62573117604677, 9.190418063434954e-11),
+    (-0.3149232104627867, 7.223725303581457, 1e-09, -2.5114731246737914, 6.39189634881509e-12),
+    (-0.16506953071462724, 2.10008988255721, 1e-09, 0.6336897934628883, 7.519927846275268e-11),
+    (-0.055342865916342104, -0.6206283984201519, 1e-12, 1.034282057135332, 4.044859510098952e-14),
+    (-0.8882681326328647, 6.583401371560541, 1e-14, 390.8608007558547, 1.7479187332668718e-13),
+    (-0.5797050004931895, 2.130722938104409, 1e-09, -0.677439630611295, 1.836385657017058e-10),
+    (-0.6057891522298643, 5.5058327968715375, 1e-09, 1.930532435195519, 6.6697534506418e-11),
+    (-0.6616249058898022, 9.004175389530555, 1e-12, -16.40528826854817, 3.93589396039359e-14),
+    (0.7132568128679809, 6.710239550659178, 1e-14, 369.9803825117718, 1.6953820738695216e-13),
+    (-0.6397885538370374, 5.304289415836056, 1e-12, 3.012588096316451, 3.954355077297237e-13),
+    (-0.7858904993215349, -1.19352046377805, 1e-12, 1.0719965300219627, 1.0215420179393565e-13),
+    (-0.1283193866856394, -4.214739030962858, 1e-14, 1.5029654382569595, 1.721263356681642e-15),
+    (0.34020528098402125, 4.831945359703983, 1e-12, 3.7496559416709823, 2.8827391289520615e-15),
+    (0.25774170809125263, 7.931516705585519, 1e-12, 4.272852497462291, 1.1840516597632438e-14),
+    (0.28662566231626463, -4.67491963152342, 1e-09, 0.11979587394713767, 3.114115473693803e-11),
+    (0.3841452383822842, 9.136658367375698, 1e-14, 12.218957773866588, 5.4402839387027744e-15),
+    (-0.21238403670576786, 9.565287252914882, 1e-14, -1.8261569376279077, 8.528535929887045e-16),
+    (-0.28465480835017953, 10.086321624793442, 1e-09, -3.6362622479858153, 2.430369006200654e-12),
+    (-0.2893959004068276, 6.199267008747697, 1e-12, -1.5795294743818589, 9.033838553595912e-14),
+    (-0.8513109023137668, -0.16358311684453497, 1e-09, 1.1212369852444133, 6.19527071240903e-11),
+    (-0.04868560619889328, 11.05847141911503, 1e-12, 0.4475175156604506, 3.583161387315096e-15),
+    (0.3876871581721537, -1.6058765272059858, 1e-14, 0.5141326895367196, 2.4985489272357887e-16),
+    (0.5826272305009188, -9.187164733306417, 1e-14, 0.11020660162373057, 8.089079355051663e-17),
+    (0.9164718284786306, -0.7596762760301701, 1e-09, 0.5807061749844646, 3.948464674904134e-10),
+    (-0.7840619239189257, -6.860991686024574, 1e-14, -4.579123412751264, 2.4983135401523266e-15),
+    (-0.7109355990069823, 7.763040831928791, 1e-14, -28.910546903109566, 1.313081829516789e-14),
+]
 
 
 class TestEvaluation:
@@ -73,10 +109,39 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             theta_certified(1.2, 1.0)
 
+    @pytest.mark.parametrize("q,x,tol,value,err", DIRECT_REAL_REFERENCE)
+    def test_direct_real_values_bit_identical(self, q, x, tol, value, err):
+        cv = theta_certified(q, x, tol)
+        assert (cv.value, cv.err) == (value, err)
+
     def test_complex_argument(self):
         cv = theta_certified(0.7, complex(2.0, 3.0), 1e-13)
         ref = theta_ref(0.7, mp.mpc(2.0, 3.0))
         assert abs(mp.mpc(cv.value) - ref) <= cv.err
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("q,x", [(0.99, -100.0), (0.98, 316.0), (-0.99, 100j),
+                                     (0.99, 41.5), (0.5, -1e30)])
+    def test_value_past_binary64(self, q, x):
+        with pytest.raises(RangeOverflowError):
+            theta_certified(q, x)
+
+    @pytest.mark.parametrize("x", [1e30, -1e30, 1e200j])
+    def test_derivative_past_binary64(self, x):
+        with pytest.raises(RangeOverflowError):
+            theta_derivative(0.5, x, dx_order=1)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(1.0, math.inf),
+                                   complex(math.nan, 0.0)])
+    def test_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            theta_certified(0.5, x)
+        with pytest.raises(DomainError):
+            theta_derivative(0.5, x, dx_order=1)
+
+    def test_overflow_is_a_ptheta_error(self):
+        assert issubclass(RangeOverflowError, PThetaError)
 
 
 class TestDerivatives:
