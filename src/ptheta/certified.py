@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ddarith import cdd_mul, dd_from_int, dd_pow_int
-from .errors import DomainError, InfeasibleToleranceError, IndeterminateSignError
+from .errors import (
+    DomainError,
+    InfeasibleToleranceError,
+    IndeterminateSignError,
+    RangeOverflowError,
+)
 
 EPS = 2.220446049250313e-16
 _SPL = 134217729.0  # Dekker splitter, inlined in the hot loops
@@ -65,6 +70,14 @@ def require_q(q: float, q_max: float = Q_MAX) -> None:
         raise DomainError(f"q must satisfy |q| < 1, got {q}")
     if abs(q) > q_max:
         raise DomainError(f"certified evaluation requires |q| <= {q_max}, got {q}")
+
+
+def require_x(x) -> complex:
+    """x as a complex number; DomainError unless both parts are finite."""
+    x = complex(x)
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise DomainError(f"x must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -145,6 +158,14 @@ class CertifiedValue:
     def scaled(self, c: complex) -> "CertifiedValue":
         v = self.value * c
         return CertifiedValue(v, self.err * abs(c) + 2.0 * EPS * abs(v))
+
+    def scaled_dd(self, c4) -> "CertifiedValue":
+        """Scaled by the complex DD number c4: by its high limbs through
+        :meth:`scaled`, with its low limbs entering as extra err.  The value
+        stays real when c4 is."""
+        c = c4[0] if c4[2] == 0.0 and c4[3] == 0.0 else complex(c4[0], c4[2])
+        s = self.scaled(c)
+        return CertifiedValue(s.value, s.err + (abs(c4[1]) + abs(c4[3])) * self.abs_upper())
 
     def mul(self, other: "CertifiedValue") -> "CertifiedValue":
         v = self.value * other.value
@@ -524,6 +545,26 @@ def theta_deriv_sum(qh, ql, x4, n, m, nq):
         if a == 0.0 and abs(prh) + abs(pih) == 0.0:
             break
     return (srh, srl, sih, sil), abs_sum
+
+
+def theta_sum_dd(q2, x4, n):
+    """:func:`theta_sum_real` for real x4, else :func:`theta_sum`."""
+    if x4[2] == 0.0 and x4[3] == 0.0:
+        return theta_sum_real(q2[0], q2[1], x4[0], x4[1], n)
+    return theta_sum(q2[0], q2[1], x4, n)
+
+
+def cv_from_sum(s4, n, tail, abs_sum) -> CertifiedValue:
+    """The certified value of an n-term DD sum s4 with the given tail bound
+    and absolute term sum; RangeOverflowError once it leaves binary64."""
+    v = s4[0] if s4[2] == 0.0 and s4[3] == 0.0 else complex(s4[0], s4[2])
+    try:
+        err = tail + rounding_bound(n, abs_sum * 1.000001, abs(v))
+    except OverflowError:  # |v| itself overflows
+        err = math.inf
+    if not err < math.inf:
+        raise RangeOverflowError(f"series value {v} lies past binary64")
+    return CertifiedValue(v, err)
 
 
 # ---------------------------------------------------------------------------

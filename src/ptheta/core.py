@@ -24,71 +24,36 @@ from .certified import (
     EPS,
     CertifiedValue,
     Q_MAX,
+    cv_from_sum,
     derivative_truncation,
     direct_route_order,
     require_q,
-    rounding_bound,
+    require_x,
+    series_log_max_term,
     theta_deriv_sum,
-    theta_sum,
-    theta_sum_real,
+    theta_sum_dd,
     truncation_order,
 )
 from .ddarith import (
     cdd_abs1,
     cdd_div_dd,
     cdd_from,
-    cdd_hi,
     cdd_mul_dd,
     cdd_sqr,
     dd_div,
     dd_pow_int,
     dd_sqrt,
 )
-from .errors import ContourError, DomainError, RangeOverflowError
-from .tripleprod import theta_via_triple_product
-
-
-def _is_real(x4) -> bool:
-    return x4[2] == 0.0 and x4[3] == 0.0
-
-
-def _finite(x) -> complex:
-    x = complex(x)
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-        raise DomainError(f"x must be finite, got {x}")
-    return x
-
-
-def _realify(cv: CertifiedValue) -> CertifiedValue:
-    v = cv.value
-    if isinstance(v, complex) and v.imag == 0.0:
-        return CertifiedValue(v.real, cv.err)
-    return cv
-
-
-def _cv_from_sum(s4, n, tail, abs_sum) -> CertifiedValue:
-    if _is_real(s4):
-        v = s4[0]
-    else:
-        v = cdd_hi(s4)
-    try:
-        err = tail + rounding_bound(n, abs_sum * 1.000001, abs(v))
-    except OverflowError:  # |v| itself overflows
-        err = math.inf
-    if not err < math.inf:
-        raise RangeOverflowError(f"series value {v} lies past binary64")
-    return CertifiedValue(v, err)
+from .errors import ContourError, DomainError
+from .tripleprod import split_parts_dd
 
 
 def _theta_direct_dd(q2, x4, tol, order=None) -> CertifiedValue:
     """Direct series at the order (N, tail) if given, else at the order
     solved here."""
     n, tail = order or truncation_order(abs(q2[0]), math.hypot(x4[0], x4[2]), tol)
-    if _is_real(x4):
-        s4, abs_sum = theta_sum_real(q2[0], q2[1], x4[0], x4[1], n)
-    else:
-        s4, abs_sum = theta_sum(q2[0], q2[1], x4, n)
-    return _cv_from_sum(s4, n, tail, abs_sum)
+    s4, abs_sum = theta_sum_dd(q2, x4, n)
+    return cv_from_sum(s4, n, tail, abs_sum)
 
 
 def _theta_eval_dd(q2, x4, tol, q_max, allow_split=True) -> CertifiedValue:
@@ -102,17 +67,10 @@ def _theta_eval_dd(q2, x4, tol, q_max, allow_split=True) -> CertifiedValue:
     if predicted <= max(tol, 1e-13):
         return _theta_direct_dd(q2, x4, tol, order)
     if qh > 0.0:
-        return _theta_split_positive(q2, x4, tol)
+        return split_parts_dd(q2, x4, tol).difference
     if allow_split:
         return _decompose_dd(q2, x4, tol, q_max).recombined
     return _theta_direct_dd(q2, x4, tol, order)
-
-
-def _theta_split_positive(q2, x4, tol) -> CertifiedValue:
-    # product-minus-tail route with the full DD parameter threaded through
-    from .tripleprod import split_parts_dd
-
-    return split_parts_dd(q2, x4, tol).difference
 
 
 def _x_sensitivity_bound(q, xa) -> float:
@@ -121,8 +79,6 @@ def _x_sensitivity_bound(q, xa) -> float:
         n, _ = truncation_order(abs(q), xa, 1e-6)
     except Exception:
         return 0.0
-    from .certified import series_log_max_term
-
     lm = series_log_max_term(abs(q), xa)
     if lm > 600.0:
         return 1e300
@@ -134,30 +90,16 @@ def theta_certified(
     x: complex,
     tol: float = DEFAULT_TOL,
     q_max: float = Q_MAX,
-    strategy: str = "auto",
 ) -> CertifiedValue:
-    """Value of the partial theta function with a rigorous error bound.
-
-    strategy: "auto" routes between the direct series and the
-    product-minus-tail split; "direct" and "product" force a path.
-    """
+    """Value of the partial theta function with a rigorous error bound,
+    routed between the direct series and the product-minus-tail split."""
     if q == 0.0:
         return CertifiedValue(1.0, 0.0)
     require_q(q, q_max)
-    x = _finite(x)
+    x = require_x(x)
     if x == 0:
         return CertifiedValue(1.0, 0.0)
-    x4 = cdd_from(x)
-    q2 = (q, 0.0)
-    if strategy == "direct":
-        return _theta_direct_dd(q2, x4, tol)
-    if strategy == "product":
-        if q < 0:
-            return _decompose_dd(q2, x4, tol, q_max).recombined
-        return theta_via_triple_product(q, x, min(tol, 1e-14), q_max).difference
-    if strategy != "auto":
-        raise DomainError(f"unknown strategy {strategy!r}")
-    return _theta_eval_dd(q2, x4, tol, q_max)
+    return _theta_eval_dd((q, 0.0), cdd_from(x), tol, q_max)
 
 
 @dataclass(frozen=True)
@@ -177,11 +119,7 @@ def _decompose_dd(q2, x4, tol, q_max) -> Decomposition:
     t1 = _theta_eval_dd(q4, arg1, tol / 3.0, q_max, allow_split=False)
     t2 = _theta_eval_dd(q4, arg2, tol / 3.0, q_max, allow_split=False)
     qx = cdd_mul_dd(x4, q2[0], q2[1])
-    second = t2.scaled(cdd_hi(qx))
-    # low limb of qx enters as an extra absolute error
-    low = (abs(qx[1]) + abs(qx[3])) * t2.abs_upper()
-    recombined = t1 + CertifiedValue(second.value, second.err + low)
-    return Decomposition(t1, t2, _realify(recombined))
+    return Decomposition(t1, t2, t1 + t2.scaled_dd(qx))
 
 
 def decompose(q: float, x: complex, tol: float = DEFAULT_TOL, q_max: float = Q_MAX) -> Decomposition:
@@ -203,7 +141,7 @@ def _deriv_cv(q2, x4, m, nq, tol) -> CertifiedValue:
     xa = math.hypot(x4[0], x4[2])
     n, tail = derivative_truncation(abs(qh), xa, m, nq, tol)
     s4, abs_sum = theta_deriv_sum(qh, q2[1], x4, n, m, nq)
-    return _cv_from_sum(s4, n, tail, abs_sum)
+    return cv_from_sum(s4, n, tail, abs_sum)
 
 
 def theta_derivative(
@@ -220,7 +158,7 @@ def theta_derivative(
     if dx_order + dq_order < 1:
         raise DomainError("at least one derivative order must be positive")
     require_q(q, q_max)
-    return _deriv_cv((q, 0.0), cdd_from(_finite(x)), dx_order, dq_order, tol)
+    return _deriv_cv((q, 0.0), cdd_from(require_x(x)), dx_order, dq_order, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +177,9 @@ def functional_equation_residual(
     q2 = (q, 0.0)
     left = _theta_eval_dd(q2, x4, tol, q_max)
     qx = cdd_mul_dd(x4, q, 0.0)
-    right = _theta_eval_dd(q2, qx, tol, q_max)
-    scaled = right.scaled(cdd_hi(qx))
-    low = (abs(qx[1]) + abs(qx[3])) * right.abs_upper()
+    scaled = _theta_eval_dd(q2, qx, tol, q_max).scaled_dd(qx)
     inner = 1.0 + scaled.value
-    return left - CertifiedValue(inner, scaled.err + low + EPS * abs(inner))
+    return left - CertifiedValue(inner, scaled.err + EPS * abs(inner))
 
 
 def pde_residual(q: float, x: complex, tol: float = DEFAULT_TOL, q_max: float = Q_MAX) -> CertifiedValue:

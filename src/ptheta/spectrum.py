@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .certified import DEFAULT_TOL, CertifiedValue, Q_MAX, require_q
-from .core import theta_certified, theta_derivative
-from .ddarith import dd_mul, dd_pow_int
+from .core import _diag_eval, theta_certified, theta_derivative
+from .ddarith import dd_pow_int
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -231,22 +231,20 @@ def pair_count_between(case: str, k: int, tol: float = DEFAULT_TOL) -> int:
 
 def sign_at_anchor(q: float, s: int, tol: float = DEFAULT_TOL):
     """Certified signs of theta at the alternating anchors -q^{-2s}, -q^{-2s-1}
-    for q < 0, via the cancellation-reduced series.
+    for q < 0.
 
-    After the first 4s (resp. 4s+2) terms cancel pairwise, what remains is a
-    pair of alternating series with geometrically decreasing terms, summed
-    here directly with a first-omitted-term tail bound.  Returns
-    (theta(q, -q^{-2s}), theta(q, -q^{-2s-1})) with the first certified
-    positive (s >= 1) and the second certified negative (s >= 0).
+    At x = -q^{-m} the first 2m terms cancel pairwise, and what remains is
+    theta(q, -q^{-m}) = q^m theta(q, -q^m): the direct series at |x| <= 1,
+    scaled by q^m in DD.  Returns (theta(q, -q^{-2s}), theta(q, -q^{-2s-1}))
+    with the first certified positive (s >= 1) and the second certified
+    negative (s >= 0); err is about tol |q|^m.
     """
     require_q(q)
     if q >= 0:
         raise DomainError("anchor signs concern q < 0")
     if s < 0:
         raise DomainError("s must be a nonnegative integer")
-    v = abs(q)
-    even = _reduced_anchor_sum(v, 2 * s, sign_x=-1.0)
-    odd = _reduced_anchor_sum(v, 2 * s + 1, sign_x=+1.0)
+    even, odd = (_anchor_value(q, m, tol) for m in (2 * s, 2 * s + 1))
     if s >= 1 and even.sign() != +1:
         raise IndeterminateSignError(f"even anchor sign not positive at q={q}, s={s}")
     if odd.sign() != -1:
@@ -254,45 +252,9 @@ def sign_at_anchor(q: float, s: int, tol: float = DEFAULT_TOL):
     return even, odd
 
 
-def _reduced_anchor_sum(v: float, m: int, sign_x: float) -> CertifiedValue:
-    """sum_{j >= 2m} (-1)^{tri(j)} sign_x^j v^{tri(j) - m j} in DD.
-
-    The terms below j = 2m cancel pairwise exactly; exponents increase from
-    j = 2m on, so the tail is geometric once the increment exponent clears
-    log 2 / log(1/v).
-    """
-    from .certified import rounding_bound, tri
-
-    j0 = 2 * m
-    # power u = v^{E(j)}, E(j) = tri(j) - m j; E(j0) = m(m+1)/2 ... compute
-    e0 = tri(j0) - m * j0
-    uh, ul = dd_pow_int(v, 0.0, e0)
-    # increment factor v^{j+1-m}
-    wh, wl = dd_pow_int(v, 0.0, j0 + 1 - m)
-    sh, sl = 0.0, 0.0
-    abs_sum = 0.0
-    n_terms = 0
-    j = j0
-    from .ddarith import dd_add
-
-    while True:
-        sgn = -1.0 if (tri(j) & 1) else 1.0
-        if sign_x < 0 and (j & 1):
-            sgn = -sgn
-        sh, sl = dd_add(sh, sl, sgn * uh, sgn * ul)
-        abs_sum += uh
-        n_terms += 1
-        # advance to j+1
-        uh, ul = dd_mul(uh, ul, wh, wl)
-        wh, wl = dd_mul(wh, wl, v, 0.0)
-        j += 1
-        if uh < 1e-32 * (abs(sh) + 1.0) and v ** (j + 1 - m) < 0.5:
-            break
-        if n_terms > 500_000:
-            raise ConvergenceError("anchor series did not converge")
-    tail = 2.0 * uh  # geometric with ratio <= 1/2 from here on
-    err = tail + rounding_bound(n_terms, abs_sum, abs(sh))
-    return CertifiedValue(sh, err)
+def _anchor_value(q: float, m: int, tol: float) -> CertifiedValue:
+    """theta(q, -q^{-m}) as q^m theta(q, -q^m)."""
+    return _diag_eval(q, m, tol, Q_MAX).scaled_dd((*dd_pow_int(q, 0.0, m), 0.0, 0.0))
 
 
 def double_zero_interval_check(point: SpectralPoint) -> bool:

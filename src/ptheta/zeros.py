@@ -340,6 +340,8 @@ def real_zeros(
     -1/q^j and are assigned for |q| <= 1/2 where anchors are unambiguous.
     """
     require_q(q)
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise DomainError(f"the scan bounds must be finite, got [{x_min}, {x_max}]")
     if not x_min < x_max:
         raise DomainError("x_min must be < x_max")
     hits = []
@@ -620,10 +622,6 @@ def complex_zeros(
             )
     records.sort(key=lambda r: (r.x.real, r.x.imag))
     return records
-
-
-def pair_records(records: list[ZeroRecord]) -> list[ZeroRecord]:
-    return [r for r in records if r.kind == "complex_pair"]
 
 
 # ---------------------------------------------------------------------------

@@ -166,13 +166,20 @@ class TestHalfPlaneConfinement:
 
 
 class TestAnchorSigns:
-    @pytest.mark.parametrize("q", [-0.3, -0.5, -0.9])
-    @pytest.mark.parametrize("s", [0, 1, 2])
+    @pytest.mark.parametrize("q", [-0.3, -0.5, -0.9, -0.95, -0.99])
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_certified_signs(self, q, s):
         even, odd = sign_at_anchor(q, s)
         if s >= 1:
             assert even.sign() == 1
         assert odd.sign() == -1
+        # reference q^m theta(q, -q^m): summing at x = -q^{-m} directly would
+        # carry the rounding of x itself into the reference
+        for m, cv in ((2 * s, even), (2 * s + 1, odd)):
+            with mp.workdps(60):
+                qm = mp.mpf(q) ** m
+                ref = qm * theta_ref(q, -qm)
+            assert abs(mp.mpf(cv.value) - ref) <= cv.err, (q, m)
 
     def test_matches_direct_evaluation(self):
         # the reduced two-tail form must agree with plain summation

@@ -1,11 +1,14 @@
 """The infinite product, the negative-index tail, and their difference."""
 
+import math
+import random
+
 import mpmath as mp
 import pytest
 
 from conftest import assert_covers
 from ptheta.core import theta_certified
-from ptheta.errors import DomainError
+from ptheta.errors import DomainError, RangeOverflowError
 from ptheta.oracle import g_ref, theta_ref, theta_star_ref
 from ptheta.tripleprod import g_tail, jacobi_theta_star, theta_via_triple_product
 
@@ -63,6 +66,54 @@ class TestTail:
 
     def test_negative_q(self):
         assert_covers(g_tail(-0.7, 3.0, 1e-14), g_ref(-0.7, 3.0))
+
+    def test_enclosure_sweep(self):
+        # G is the direct series at 1/x, times 1/x: every err must enclose
+        # the oracle, for either sign of q and real or complex x
+        rng = random.Random(4)
+        for i in range(90):
+            qa = rng.uniform(0.02, 0.99)
+            q = -qa if i % 4 == 0 else qa
+            r = 10 ** rng.uniform(-0.5, 3.0)
+            if i % 3 == 0:
+                x = complex(r * rng.uniform(-1, 1), r * rng.uniform(-1, 1))
+            else:
+                x = rng.choice([r, -r])
+            cv = g_tail(q, x, 1e-14, q_max=0.99)
+            assert abs(mp.mpc(cv.value) - g_ref(q, x)) <= cv.err, (q, x)
+
+    def test_reciprocal_past_the_square_range(self):
+        # |x|^2 underflows or overflows binary64 while 1/x and G do not
+        assert_covers(g_tail(1e-300, 1e-160), g_ref(1e-300, 1e-160))
+        assert_covers(g_tail(0.5, 1e200), g_ref(0.5, 1e200))
+
+
+class TestFailClosed:
+    ENTRY_POINTS = (g_tail, jacobi_theta_star, theta_via_triple_product)
+
+    @pytest.mark.parametrize("fn", ENTRY_POINTS)
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_rejects_non_finite_x(self, fn, x):
+        with pytest.raises(DomainError):
+            fn(0.5, x)
+
+    @pytest.mark.parametrize("fn", ENTRY_POINTS)
+    def test_tiny_x_overflows(self, fn):
+        with pytest.raises(RangeOverflowError):
+            fn(0.5, 1e-300)
+
+    def test_reciprocal_past_binary64(self):
+        with pytest.raises(RangeOverflowError):
+            g_tail(0.5, 1e-310)
+
+    def test_tail_sum_past_binary64(self):
+        # 1/x = 1e160 fits, q/x^2 does not
+        with pytest.raises(RangeOverflowError):
+            g_tail(0.5, 1e-160)
+
+    def test_product_order_bound_past_binary64(self):
+        with pytest.raises(RangeOverflowError):
+            jacobi_theta_star(1e-20, 1e-300)
 
 
 class TestSplit:

@@ -54,6 +54,11 @@ class TestRealZeros:
         with pytest.raises(DomainError):
             real_zeros(0.5, 2.0, -2.0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(DomainError):
+            real_zeros(0.5, lo, hi)
+
 
 class TestIndexAssignment:
     def test_anchor_claim_conflict(self):
