@@ -44,7 +44,6 @@ class BoxClaim:
     x_range: tuple[float, float]
     predicate: str  # "theta_gt:<c>" | "theta_lt:<c>" | "no_real_zero" | "single_positive_zero"
     grid: tuple[int, int] = (200, 200)
-    margin_required: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,7 @@ def check_box(claim: BoxClaim, tol: float = DEFAULT_TOL) -> ClaimReport:
                         limit_function(x, case).real, 0.0
                     )
 
-        report = _sign_sweep(points(), c + claim.margin_required, want_greater,
-                             claim.id, notes)
-        return report
+        return _sign_sweep(points(), c, want_greater, claim.id, notes)
 
     if claim.predicate == "no_real_zero":
         for q in q_nodes:

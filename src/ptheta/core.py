@@ -38,13 +38,14 @@ from .ddarith import (
     cdd_abs1,
     cdd_div_dd,
     cdd_from,
+    cdd_hi,
     cdd_mul_dd,
     cdd_sqr,
     dd_div,
     dd_pow_int,
     dd_sqrt,
 )
-from .errors import ContourError, DomainError
+from .errors import ContourError, DomainError, RangeOverflowError
 from .tripleprod import split_parts_dd
 
 
@@ -56,7 +57,7 @@ def _theta_direct_dd(q2, x4, tol, order=None) -> CertifiedValue:
     return cv_from_sum(s4, n, tail, abs_sum)
 
 
-def _theta_eval_dd(q2, x4, tol, q_max, allow_split=True) -> CertifiedValue:
+def _theta_eval_dd(q2, x4, tol, q_max) -> CertifiedValue:
     """Routed evaluation with DD parameter and argument; the truncation order
     is solved once and reused by the direct route."""
     qh = q2[0]
@@ -68,9 +69,7 @@ def _theta_eval_dd(q2, x4, tol, q_max, allow_split=True) -> CertifiedValue:
         return _theta_direct_dd(q2, x4, tol, order)
     if qh > 0.0:
         return split_parts_dd(q2, x4, tol).difference
-    if allow_split:
-        return _decompose_dd(q2, x4, tol, q_max).recombined
-    return _theta_direct_dd(q2, x4, tol, order)
+    return _decompose_dd(q2, x4, tol, q_max).recombined
 
 
 def _x_sensitivity_bound(q, xa) -> float:
@@ -112,12 +111,15 @@ class Decomposition:
 
 
 def _decompose_dd(q2, x4, tol, q_max) -> Decomposition:
+    """The parts at parameter q^4 > 0, so neither routes back here."""
     q4 = dd_pow_int(q2[0], q2[1], 4)
     xsq = cdd_sqr(x4)
     arg1 = cdd_div_dd(xsq, q2[0], q2[1])
     arg2 = cdd_mul_dd(xsq, q2[0], q2[1])
-    t1 = _theta_eval_dd(q4, arg1, tol / 3.0, q_max, allow_split=False)
-    t2 = _theta_eval_dd(q4, arg2, tol / 3.0, q_max, allow_split=False)
+    if not all(map(math.isfinite, arg1 + arg2)):
+        raise RangeOverflowError(f"x^2/q lies past binary64 at x = {cdd_hi(x4)}")
+    t1 = _theta_eval_dd(q4, arg1, tol / 3.0, q_max)
+    t2 = _theta_eval_dd(q4, arg2, tol / 3.0, q_max)
     qx = cdd_mul_dd(x4, q2[0], q2[1])
     return Decomposition(t1, t2, t1 + t2.scaled_dd(qx))
 
@@ -125,7 +127,7 @@ def _decompose_dd(q2, x4, tol, q_max) -> Decomposition:
 def decompose(q: float, x: complex, tol: float = DEFAULT_TOL, q_max: float = Q_MAX) -> Decomposition:
     """Quartic-parameter split of theta; recombined tracks full error."""
     require_q(q, q_max)
-    x = complex(x)
+    x = require_x(x)
     if x == 0:
         one = CertifiedValue(1.0, 0.0)
         return Decomposition(one, one, one)
@@ -170,7 +172,7 @@ def functional_equation_residual(
 ) -> CertifiedValue:
     """theta(q,x) - 1 - q x theta(q, q x), certified; zero within err."""
     require_q(q, q_max)
-    x = complex(x)
+    x = require_x(x)
     if x == 0:
         return CertifiedValue(0.0, 0.0)
     x4 = cdd_from(x)
@@ -185,7 +187,7 @@ def functional_equation_residual(
 def pde_residual(q: float, x: complex, tol: float = DEFAULT_TOL, q_max: float = Q_MAX) -> CertifiedValue:
     """Residual of 2q theta_q = 2x theta_x + x^2 theta_xx."""
     require_q(q, q_max)
-    x = complex(x)
+    x = require_x(x)
     if x == 0:
         return CertifiedValue(0.0, 0.0)
     x4 = cdd_from(x)
@@ -205,7 +207,7 @@ def mixed_identity_residuals(
     x^2 theta_xxxx(q, x) = 4 q^5 theta_qq(q, q^2 x)
     """
     require_q(q, q_max)
-    x = complex(x)
+    x = require_x(x)
     if x == 0:
         return CertifiedValue(0.0, 0.0), CertifiedValue(0.0, 0.0)
     x4 = cdd_from(x)

@@ -69,21 +69,38 @@ def _half_gap_above_floor(a_lo: float, a_hi: float, floor: float) -> float:
     return 0.5 * (lo + a_hi)
 
 
-def _validate(result: SeparationResult) -> None:
-    """Definition side check; every witness strictly on its assigned side."""
-    line = result.line_re
-    for r in result.left:
-        if not r.x.real < line:
-            raise SeparationValidationError(
-                f"witness {r.x} assigned left is not left of Re = {line}"
-            )
-    for r in result.right:
-        if not r.x.real > line:
-            raise SeparationValidationError(
-                f"witness {r.x} assigned right is not right of Re = {line}"
-            )
-    if not result.margin > 0:
-        raise SeparationValidationError("margin must be positive")
+def _line(q, kind, left, right, floor, degenerate=False, notes=(),
+          coverage=PAIR_SEARCH_RADIUS) -> SeparationResult:
+    """The line Re x = s*a (s = +1 for the right kind, else -1) between the
+    witnesses on each side: a is the half gap of the admissible interval above
+    the floor (the floor itself when degenerate), and every witness must sit
+    strictly on its side; margin is the smallest distance to the line."""
+    s = 1.0 if kind == "right" else -1.0
+    if degenerate:
+        a = floor
+    else:
+        near, far = (left, right) if s > 0 else (right, left)
+        a = _half_gap_above_floor(
+            max((s * r.x.real for r in near), default=0.0),
+            min(s * r.x.real for r in far),
+            floor,
+        )
+    line = s * a
+    dists = [(line - r.x.real, r) for r in left] + [(r.x.real - line, r) for r in right]
+    for d, r in dists:
+        if not d > 0:
+            raise SeparationValidationError(f"witness {r.x} is on the wrong side of Re = {line}")
+    return SeparationResult(
+        q=q, kind=kind, a=a, margin=min((d for d, _ in dists), default=math.inf),
+        left=tuple(left), right=tuple(right), degenerate=degenerate,
+        coverage_radius=coverage, notes=notes,
+    )
+
+
+def _reals_by_sign(q: float, tol: float):
+    """Real zeros in the scan window, negative and positive (ascending)."""
+    reals = real_zeros(q, -REAL_SCAN, REAL_SCAN, tol=tol)
+    return [r for r in reals if r.x.real < 0], [r for r in reals if r.x.real > 0]
 
 
 def separating_line_A(q: float, tol: float = DEFAULT_TOL) -> SeparationResult:
@@ -94,34 +111,13 @@ def separating_line_A(q: float, tol: float = DEFAULT_TOL) -> SeparationResult:
     q1 = spectral_point_A(1, tol).q_star
     reals = real_zeros(q, -REAL_SCAN, 0.0, tol=tol)
     if q <= q1:
-        a = 5.0
-        margin = min((-r.x.real - a for r in reals), default=math.inf)
-        res = SeparationResult(
-            q=q, kind="separating", a=a, margin=margin,
-            left=tuple(reals), right=(), degenerate=True,
-            notes=("no conjugate pairs below the first spectral value; "
-                   "line fixed at the guaranteed bound",),
-        )
-        _validate(res)
-        return res
+        return _line(q, "separating", reals, (), 5.0, degenerate=True,
+                     notes=("no conjugate pairs below the first spectral value; "
+                            "line fixed at the guaranteed bound",))
     pairs, _ = _pairs_in_disk(q, tol, radius=49.8)
     if not reals:
         raise SeparationValidationError(f"no real zeros found at q={q}")
-    a_hi = -max(r.x.real for r in reals)
-    a_lo = max([0.0] + [-p.x.real for p in pairs])
-    a = _half_gap_above_floor(a_lo, a_hi, 5.0)
-    margin = min(
-        min(-r.x.real - a for r in reals),
-        min(p.x.real + a for p in pairs) if pairs else math.inf,
-    )
-    res = SeparationResult(
-        q=q, kind="separating", a=a, margin=margin,
-        left=tuple(reals), right=tuple(pairs), coverage_radius=49.8,
-    )
-    if a < 5.0:
-        raise SeparationValidationError(f"a = {a} < 5 in the q > 0 case")
-    _validate(res)
-    return res
+    return _line(q, "separating", reals, pairs, 5.0, coverage=49.8)
 
 
 def left_separating_line_B(q: float, tol: float = DEFAULT_TOL) -> SeparationResult:
@@ -131,37 +127,15 @@ def left_separating_line_B(q: float, tol: float = DEFAULT_TOL) -> SeparationResu
     if q >= 0:
         raise DomainError("left separating lines concern q < 0")
     qbar1 = spectral_point_B(1, tol).q_star
-    reals = real_zeros(q, -REAL_SCAN, REAL_SCAN, tol=tol)
-    negs = [r for r in reals if r.x.real < 0]
-    poss = [r for r in reals if r.x.real > 0]
-    degenerate = q > qbar1
-    if degenerate:
-        pairs = []
-        a = 2.4
-        notes = ("no conjugate pairs above the first negative spectral value; "
-                 "line fixed at the guaranteed bound",)
-    else:
-        pairs, coverage = _pairs_in_disk(q, tol)
-        if not negs:
-            raise SeparationValidationError(f"no negative zeros found at q={q}")
-        a_hi = -max(r.x.real for r in negs)
-        a_lo = max([0.0] + [-p.x.real for p in pairs])
-        a = _half_gap_above_floor(a_lo, a_hi, 2.4)
-        notes = ()
-    right = tuple(pairs) + tuple(poss)
-    margin_terms = [-r.x.real - a for r in negs]
-    margin_terms += [p.x.real + a for p in pairs]
-    margin_terms += [r.x.real + a for r in poss]
-    margin = min(margin_terms, default=math.inf)
-    res = SeparationResult(
-        q=q, kind="left", a=a, margin=margin,
-        left=tuple(negs), right=right, degenerate=degenerate, notes=notes,
-        coverage_radius=coverage if not degenerate else PAIR_SEARCH_RADIUS,
-    )
-    if a < 2.4:
-        raise SeparationValidationError(f"a = {a} < 2.4 for the left line")
-    _validate(res)
-    return res
+    negs, poss = _reals_by_sign(q, tol)
+    if q > qbar1:
+        return _line(q, "left", negs, poss, 2.4, degenerate=True,
+                     notes=("no conjugate pairs above the first negative spectral "
+                            "value; line fixed at the guaranteed bound",))
+    pairs, coverage = _pairs_in_disk(q, tol)
+    if not negs:
+        raise SeparationValidationError(f"no negative zeros found at q={q}")
+    return _line(q, "left", negs, pairs + poss, 2.4, coverage=coverage)
 
 
 def right_separating_line_B(q: float, tol: float = DEFAULT_TOL) -> SeparationResult:
@@ -176,9 +150,7 @@ def right_separating_line_B(q: float, tol: float = DEFAULT_TOL) -> SeparationRes
     if q >= 0:
         raise DomainError("right separating lines concern q < 0")
     qbar2 = spectral_point_B(2, tol).q_star
-    reals = real_zeros(q, -REAL_SCAN, REAL_SCAN, tol=tol)
-    negs = [r for r in reals if r.x.real < 0]
-    poss = sorted((r for r in reals if r.x.real > 0), key=lambda r: r.x.real)
+    negs, poss = _reals_by_sign(q, tol)
     if q > qbar2:
         return SeparationResult(
             q=q, kind="right", a=3.2, margin=0.0,
@@ -193,24 +165,7 @@ def right_separating_line_B(q: float, tol: float = DEFAULT_TOL) -> SeparationRes
         raise SeparationValidationError(
             f"need at least two positive zeros in the scan window at q={q}"
         )
-    x1 = poss[0].x.real
-    a_hi = poss[1].x.real
-    a_lo = max([x1] + [p.x.real for p in pairs])
-    a = _half_gap_above_floor(a_lo, a_hi, 3.2)
-    left = tuple(negs) + (poss[0],) + tuple(pairs)
-    right = tuple(poss[1:])
-    margin_terms = [a - x1] + [a - p.x.real for p in pairs]
-    margin_terms += [r.x.real - a for r in poss[1:]]
-    margin_terms += [a - r.x.real for r in negs]
-    margin = min(margin_terms, default=math.inf)
-    res = SeparationResult(
-        q=q, kind="right", a=a, margin=margin, left=left, right=right,
-        coverage_radius=coverage,
-    )
-    if a < 3.2:
-        raise SeparationValidationError(f"a = {a} < 3.2 for the right line")
-    _validate(res)
-    return res
+    return _line(q, "right", negs + poss[:1] + pairs, poss[1:], 3.2, coverage=coverage)
 
 
 def separating_line(q: float, kind: str, tol: float = DEFAULT_TOL) -> SeparationResult:
@@ -224,8 +179,8 @@ def separating_line(q: float, kind: str, tol: float = DEFAULT_TOL) -> Separation
 
 
 # ---------------------------------------------------------------------------
-# Monotonicity probes along the line: |Theta*| grows with |Im x| while the
-# term-paired tail majorants shrink, which is what makes the lines work.
+# Monotonicity probes along the line: |Theta*| grows with |Im x| while a
+# blocked majorant of the tail G shrinks, which is what makes the lines work.
 
 
 @dataclass(frozen=True)
@@ -242,125 +197,63 @@ class ProbeReport:
     violation: tuple[float, float] | None = None
 
 
-def _pair_majorant_case_a(q: float, a: float, b: float) -> float:
-    """Sum of |q^{(2k-1)(k-1)} x^{-2k} (x + q^{2k-1})| over k >= 1."""
-    x = complex(-a, b)
-    ax2 = abs(x) ** 2
-    s = 0.0
-    qp = 1.0  # q^{(2k-1)(k-1)}
-    k = 1
-    while True:
-        t = qp * abs(x + q ** (2 * k - 1)) / ax2**k
-        s += t
-        if t < 1e-30 * s or k > 10_000:
-            return s
-        qp *= q ** (4 * k - 1)  # (2k+1)k - (2k-1)(k-1)
-        k += 1
+#: kind -> (sign of Re x, head block, later blocks, divide by |x|^2)
+_PROBE_KINDS = {
+    "separating": (-1.0, 2, 2, False),
+    "left": (-1.0, 8, 4, False),
+    "right": (1.0, 4, 4, True),
+}
 
 
-def _u_head_case_b(tau: float, x: complex) -> complex:
-    """First eight tail terms at parameter -tau."""
-    return (
-        1 / x
-        - tau / x**2
-        - tau**3 / x**3
-        + tau**6 / x**4
-        + tau**10 / x**5
-        - tau**15 / x**6
-        - tau**21 / x**7
-        + tau**28 / x**8
-    )
+def _g_block_majorant(q: float, x: complex, head: int, block: int) -> float:
+    """Sum over blocks B_k of |sum_{m in B_k} q^{m(m-1)/2} x^{-m}|: the first
+    block holds `head` terms and every later one `block` terms.
+
+    Terms follow t_{m+1} = t_m q^m / x.  The sum stops once |q|^m < |x|/2,
+    so every later ratio is below 1/2 and the rest is at most twice the next
+    term, and that term is below 1e-30 of the sum.
+    """
+    s, t, m, size = 0.0, 1.0 / x, 1, head
+    while m < 100_000:  # term cap
+        part = 0.0
+        for _ in range(size):
+            part += t
+            t = t * q**m / x
+            m += 1
+        s += abs(part)
+        if abs(q) ** m < 0.5 * abs(x) and abs(t) <= 1e-30 * s:
+            break
+        size = block
+    return s
 
 
-def _e_block_case_b(tau: float, x: complex, k: int) -> complex:
-    """Four consecutive tail terms m = 4k+1..4k+4 at parameter -tau."""
-    t = tau ** (2 * k * (4 * k + 1))
-    return t * (x**3 - tau ** (4 * k + 1) * x**2 - tau ** (8 * k + 3) * x
-                + tau ** (12 * k + 6)) / x ** (4 * k + 4)
-
-
-def _left_majorant_case_b(tau: float, a: float, b: float) -> float:
-    x = complex(-a, b)
-    s = abs(_u_head_case_b(tau, x))
-    k = 2
-    while True:
-        t = abs(_e_block_case_b(tau, x, k))
-        s += t
-        if t < 1e-30 * s or k > 10_000:
-            return s
-        k += 1
-
-
-def _g_quad_case_b(tau: float, x: complex, j: int) -> complex:
-    """Four consecutive terms of tail/x^2, m = 4j-3..4j, at parameter -tau."""
-    return (
-        tau ** ((2 * j - 2) * (4 * j - 3)) / x ** (4 * j - 1)
-        - tau ** ((2 * j - 1) * (4 * j - 3)) / x ** (4 * j)
-        - tau ** ((2 * j - 1) * (4 * j - 1)) / x ** (4 * j + 1)
-        + tau ** (2 * j * (4 * j - 1)) / x ** (4 * j + 2)
-    )
-
-
-def _right_majorant_case_b(tau: float, a: float, b: float) -> float:
-    x = complex(a, b)
-    s = 0.0
-    j = 1
-    while True:
-        t = abs(_g_quad_case_b(tau, x, j))
-        s += t
-        if (t < 1e-30 * s and j > 2) or j > 10_000:
-            return s
-        j += 1
-
-
-def monotonicity_in_b_probe(
-    q: float, a: float, b_grid, kind: str, tol: float = DEFAULT_TOL
-) -> ProbeReport:
+def monotonicity_in_b_probe(q: float, a: float, b_grid, kind: str) -> ProbeReport:
     """Sample b and assert: the product modulus grows strictly (divided by
-    |x|^2 for the right kind) while the paired tail majorant shrinks
+    |x|^2 for the right kind) while the blocked tail majorant shrinks
     strictly; at b = 0 the majorant coincides with |G|."""
     require_q(q)
+    if kind not in _PROBE_KINDS:
+        raise DomainError(f"kind must be separating|left|right, got {kind!r}")
+    sign, head, block, per_x2 = _PROBE_KINDS[kind]
     bs = tuple(sorted(float(b) for b in b_grid))
     if len(bs) < 2 or bs[0] != 0.0:
         raise DomainError("b_grid must start at 0 and contain >= 2 points")
-    tau = abs(q)
-    prod_vals = []
-    major_vals = []
+    prod_vals, major_vals = [], []
     for b in bs:
-        if kind == "separating":
-            x = complex(-a, b)
-            ts = jacobi_theta_star(q, x, 1e-14)
-            prod_vals.append(abs(complex(ts.value)))
-            major_vals.append(_pair_majorant_case_a(q, a, b))
-        elif kind == "left":
-            x = complex(-a, b)
-            ts = jacobi_theta_star(q, x, 1e-14)
-            prod_vals.append(abs(complex(ts.value)))
-            major_vals.append(_left_majorant_case_b(tau, a, b))
-        elif kind == "right":
-            x = complex(a, b)
-            ts = jacobi_theta_star(q, x, 1e-14)
-            prod_vals.append(abs(complex(ts.value)) / abs(x) ** 2)
-            major_vals.append(_right_majorant_case_b(tau, a, b))
-        else:
-            raise DomainError(f"kind must be separating|left|right, got {kind!r}")
-    inc = all(u < v for u, v in zip(prod_vals, prod_vals[1:]))
-    dec = all(u > v for u, v in zip(major_vals, major_vals[1:]))
-    violation = None
-    if not inc:
-        i = next(i for i, (u, v) in enumerate(zip(prod_vals, prod_vals[1:])) if not u < v)
-        violation = (bs[i], bs[i + 1])
-    elif not dec:
-        i = next(i for i, (u, v) in enumerate(zip(major_vals, major_vals[1:])) if not u > v)
-        violation = (bs[i], bs[i + 1])
-    x0 = complex(-a, 0.0) if kind != "right" else complex(a, 0.0)
-    g0 = abs(complex(g_tail(q, x0, 1e-14).value))
-    if kind == "right":
-        g0 /= abs(x0) ** 2
+        x = complex(sign * a, b)
+        w = abs(x) ** 2 if per_x2 else 1.0
+        prod_vals.append(abs(complex(jacobi_theta_star(q, x, 1e-14).value)) / w)
+        major_vals.append(_g_block_majorant(q, x, head, block) / w)
+    ups = [i for i, (u, v) in enumerate(zip(prod_vals, prod_vals[1:])) if not u < v]
+    downs = [i for i, (u, v) in enumerate(zip(major_vals, major_vals[1:])) if not u > v]
+    bad = (ups or downs)[:1]
+    x0 = complex(sign * a, 0.0)
+    g0 = abs(complex(g_tail(q, x0, 1e-14).value)) / (abs(x0) ** 2 if per_x2 else 1.0)
     endpoint = math.isclose(major_vals[0], g0, rel_tol=1e-10, abs_tol=1e-13)
     return ProbeReport(
         kind=kind, q=q, a=a, b_grid=bs,
         product_values=tuple(prod_vals), majorant_values=tuple(major_vals),
-        product_increasing=inc, majorant_decreasing=dec,
-        endpoint_matches_g=endpoint, violation=violation,
+        product_increasing=not ups, majorant_decreasing=not downs,
+        endpoint_matches_g=endpoint,
+        violation=(bs[bad[0]], bs[bad[0] + 1]) if bad else None,
     )

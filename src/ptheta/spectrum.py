@@ -261,11 +261,6 @@ def double_zero_interval_check(point: SpectralPoint) -> bool:
     """Membership of the double zero in its anchor interval -1/q^{e}."""
     if point.case != "B":
         raise DomainError("interval membership concerns the q < 0 case")
-    k, q, y = point.k, point.q_star, point.y
-    if k % 2 == 1:
-        el = (k + 1) // 2
-        lo, hi = -1.0 / q ** (4 * el), -1.0 / q ** (4 * el - 2)
-    else:
-        el = (k - 2) // 2
-        lo, hi = -1.0 / q ** (4 * el + 3), -1.0 / q ** (4 * el + 5)
-    return lo < y < hi
+    q = point.q_star
+    lo, hi = sorted(-1.0 / q**i for i in _b_indices(point.k))
+    return lo < point.y < hi

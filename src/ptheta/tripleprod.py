@@ -66,15 +66,17 @@ def _realify(value: complex, err: float) -> CertifiedValue:
     return CertifiedValue(value, err)
 
 
-def _product_order(q_abs: float, x_abs: float, rel_tol: float) -> int:
-    """Smallest M so the omitted factors perturb the product by <= rel_tol.
+def _product_order(q_abs: float, x_abs: float, rel_tol: float):
+    """(M, rel_trunc): the smallest M so the omitted factors perturb the
+    product by <= rel_tol, and the relative bound on that perturbation.
 
     Uses |log prod_{m>M}| <= 2 sum_{m>M} q^m (1 + |x| + 1/(q|x|)), valid once
     every omitted sub-factor deviation is <= 1/2.  RangeOverflowError when
     that bound's coefficient leaves binary64.
     """
     qx = q_abs * x_abs
-    coef = 2.0 * (1.0 + x_abs + 1.0 / qx) / (1.0 - q_abs) if qx else math.inf
+    c2 = 2.0 * (1.0 + x_abs + 1.0 / qx) if qx else math.inf
+    coef = c2 / (1.0 - q_abs)
     if not coef < math.inf:
         raise RangeOverflowError(f"the product's order bound at |x| = {x_abs} lies past binary64")
     cap = n_cap()
@@ -91,18 +93,13 @@ def _product_order(q_abs: float, x_abs: float, rel_tol: float) -> int:
         raise InfeasibleToleranceError(
             f"product order {m1} exceeds cap {cap} (q_abs={q_abs}, x_abs={x_abs})"
         )
-    return m1
+    return m1, math.expm1(c2 * q_abs ** (m1 + 1) / (1.0 - q_abs))
 
 
-def _theta_star_dd(q2, x4, rel_tol: float) -> CertifiedValue:
-    qa = abs(q2[0])
-    xa = math.hypot(x4[0], x4[2])
-    m_order = _product_order(qa, xa, min(rel_tol, 0.05))
-    rel_trunc = math.expm1(
-        2.0 * (1.0 + xa + 1.0 / (qa * xa)) * qa ** (m_order + 1) / (1.0 - qa)
-    )
-
-    ix4 = _inverse(x4)
+def _theta_star_dd(q2, x4, ix4, rel_tol: float) -> CertifiedValue:
+    """The truncated product at x (DD) with ix4 = 1/x (DD)."""
+    m_order, rel_trunc = _product_order(abs(q2[0]), math.hypot(x4[0], x4[2]),
+                                        min(rel_tol, 0.05))
     p = (1.0, 0.0, 0.0, 0.0)
     qph, qpl = 1.0, 0.0  # q^{m-1}
     rel_round = 4.0 * EPS2 * float(m_order) * float(m_order)
@@ -172,10 +169,9 @@ def _inverse(x4):
         raise RangeOverflowError(f"1/x lies past binary64 at x = {cdd_hi(x4)}") from None
 
 
-def _g_tail_dd(q2, x4, tol: float) -> CertifiedValue:
-    """G(q, x) = theta(q, y) y with y = 1/x: the direct series at y, solved
-    for the absolute tolerance tol/|y|, times y in DD before rounding."""
-    ix4 = _inverse(x4)
+def _g_tail_dd(q2, ix4, tol: float) -> CertifiedValue:
+    """G(q, x) = theta(q, y) y with y = 1/x (DD): the direct series at y,
+    solved for the absolute tolerance tol/|y|, times y in DD before rounding."""
     ya = math.hypot(ix4[0], ix4[2])
     n, tail = truncation_order(abs(q2[0]), ya, tol / ya)
     s4, abs_sum = theta_sum_dd(q2, ix4, n)
@@ -195,7 +191,8 @@ def jacobi_theta_star(
     x = require_x(x)
     if x == 0:
         raise DomainError("the product form requires x != 0")
-    return _theta_star_dd((q, 0.0), cdd_from(x), tol)
+    x4 = cdd_from(x)
+    return _theta_star_dd((q, 0.0), x4, _inverse(x4), tol)
 
 
 def g_tail(q: float, x: complex, tol: float = 1e-14, q_max: float = Q_MAX) -> CertifiedValue:
@@ -204,7 +201,7 @@ def g_tail(q: float, x: complex, tol: float = 1e-14, q_max: float = Q_MAX) -> Ce
     x = require_x(x)
     if x == 0:
         raise DomainError("the tail series requires x != 0")
-    return _g_tail_dd((q, 0.0), cdd_from(x), tol)
+    return _g_tail_dd((q, 0.0), _inverse(cdd_from(x)), tol)
 
 
 def theta_via_triple_product(
@@ -217,7 +214,9 @@ def theta_via_triple_product(
 
 
 def split_parts_dd(q2, x4, tol: float) -> TripleProductParts:
-    """DD-argument variant used by the evaluation router."""
-    ts = _theta_star_dd(q2, x4, min(tol, 1e-14))
-    g = _g_tail_dd(q2, x4, min(tol, 1e-14))
+    """DD-argument variant used by the evaluation router; 1/x is formed once
+    for both parts."""
+    ix4 = _inverse(x4)
+    ts = _theta_star_dd(q2, x4, ix4, min(tol, 1e-14))
+    g = _g_tail_dd(q2, ix4, min(tol, 1e-14))
     return TripleProductParts(ts, g, ts - g)

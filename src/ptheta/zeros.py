@@ -172,11 +172,11 @@ def _fq(q: float, x: complex, tol: float = 1e-10) -> CertifiedValue:
 # Real zeros
 
 
-def _side_grid(q_abs: float, r_lo: float, r_hi: float, nodes_per_gap: int = 8):
-    """Geometric |x| grid with nodes_per_gap nodes per log(1/|q|) gap."""
+def _side_grid(q_abs: float, r_lo: float, r_hi: float):
+    """Geometric |x| grid with eight nodes per log(1/|q|) gap."""
     if r_hi <= r_lo:
         return []
-    step = math.log(1.0 / q_abs) / nodes_per_gap
+    step = math.log(1.0 / q_abs) / 8
     span = math.log(r_hi / r_lo)
     n = max(8, int(math.ceil(span / step)))
     return [r_lo * math.exp(span * i / n) for i in range(n + 1)]
@@ -228,7 +228,7 @@ def _refine_bracket(q, lo, hi, flo, fhi, tol):
     return x, abs(fcv.real), max(fcv.err, tol_eff / 10.0), dv
 
 
-def _scan_side(q, lo, hi, tol, nodes_per_gap=8):
+def _scan_side(q, lo, hi, tol):
     """Scan [lo, hi] (0 < lo < hi in |x|, one sign of x) for zeros."""
     out = []
     if hi <= lo:
@@ -244,7 +244,7 @@ def _scan_side(q, lo, hi, tol, nodes_per_gap=8):
         span = math.log(inner_hi / r_lo)
         grid_r += [r_lo * math.exp(span * i / 12) for i in range(12)]
         r_lo = inner_hi
-    grid_r += _side_grid(abs(q), r_lo, r_hi, nodes_per_gap)
+    grid_r += _side_grid(abs(q), r_lo, r_hi)
     if not grid_r:
         return out
     xs = [sign * r for r in grid_r]
@@ -330,7 +330,6 @@ def real_zeros(
     x_min: float,
     x_max: float,
     tol: float = DEFAULT_TOL,
-    nodes_per_gap: int = 8,
 ) -> list[ZeroRecord]:
     """All real zeros of theta(q, .) in [x_min, x_max], sorted ascending.
 
@@ -346,9 +345,9 @@ def real_zeros(
         raise DomainError("x_min must be < x_max")
     hits = []
     if x_min < 0:
-        hits += _scan_side(q, x_min, min(x_max, -1e-12), tol, nodes_per_gap)
+        hits += _scan_side(q, x_min, min(x_max, -1e-12), tol)
     if x_max > 0:
-        hits += _scan_side(q, max(x_min, 1e-12), x_max, tol, nodes_per_gap)
+        hits += _scan_side(q, max(x_min, 1e-12), x_max, tol)
 
     hits.sort(key=lambda h: h[0])
     records = []
@@ -543,7 +542,6 @@ def complex_zeros(
     region: Disk,
     tol: float = DEFAULT_TOL,
     n_override: int | None = None,
-    validate_count: bool = True,
 ) -> list[ZeroRecord]:
     """All zeros of theta(q, .) inside a disk, as deduplicated records.
 
@@ -613,13 +611,12 @@ def complex_zeros(
                        multiplicity=mult, residual=res, err=cerr)
         )
 
-    if validate_count:
-        winding = zero_count(q, region, tol)
-        if winding != count_inside:
-            raise CountMismatchError(
-                f"winding count {winding} != polynomial count {count_inside} "
-                f"inside {region} at q={q}; raise N or move the boundary"
-            )
+    winding = zero_count(q, region, tol)
+    if winding != count_inside:
+        raise CountMismatchError(
+            f"winding count {winding} != polynomial count {count_inside} "
+            f"inside {region} at q={q}; raise N or move the boundary"
+        )
     records.sort(key=lambda r: (r.x.real, r.x.imag))
     return records
 

@@ -1,9 +1,12 @@
 """Separating lines and the modulus-monotonicity probes behind them."""
 
+import mpmath as mp
 import pytest
 
 from ptheta.errors import DomainError
 from ptheta.separation import (
+    _PROBE_KINDS,
+    _g_block_majorant,
     left_separating_line_B,
     monotonicity_in_b_probe,
     right_separating_line_B,
@@ -75,6 +78,16 @@ class TestCaseBLines:
         res = right_separating_line_B(-0.5)
         assert res.degenerate and res.a == 3.2
 
+    @pytest.mark.parametrize("kind,q,a,margin", [
+        ("separating", 0.5, 7.834526906503678, 2.834526906503678),
+        ("left", -0.8, 3.1832531860129576, 0.7832531860129577),
+        ("right", -0.8, 4.000764013619651, 0.8007640136196503),
+    ])
+    def test_pinned_line(self, kind, q, a, margin):
+        res = separating_line(q, kind)
+        assert not res.degenerate
+        assert res.a == a and res.margin == margin
+
     def test_dispatch(self):
         assert separating_line(0.5, "separating").kind == "separating"
         with pytest.raises(DomainError):
@@ -120,3 +133,33 @@ class TestProbes:
     def test_bad_grid(self):
         with pytest.raises(DomainError):
             monotonicity_in_b_probe(0.5, 6.0, [1.0, 2.0], "separating")
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError):
+            monotonicity_in_b_probe(0.5, 6.0, B_GRID, "sideways")
+
+
+def _mp_block_majorant(q, x, head, block, terms=600):
+    """sum_k |sum_{m in B_k} q^{m(m-1)/2} x^{-m}| at 40 digits."""
+    with mp.workdps(40):
+        q, x = mp.mpf(q), mp.mpc(x)
+        total, part, end = mp.mpf(0), mp.mpc(0), head
+        for m in range(1, terms + 1):
+            part += q ** (m * (m - 1) // 2) / x**m
+            if m == end:
+                total += abs(part)
+                part, end = mp.mpc(0), end + block
+        return total
+
+
+@pytest.mark.parametrize("kind,q,a,b", [
+    ("separating", 0.5, 6.0, 0.0), ("separating", 0.94, 5.0, 2.5),
+    ("separating", 0.3, 15.0, 10.0),
+    ("left", -0.6, 2.4, 0.0), ("left", -0.94, 3.0, 1.5), ("left", -0.2, 8.0, 7.0),
+    ("right", -0.8, 3.5, 0.0), ("right", -0.94, 3.2, 4.0), ("right", -0.5, 10.0, 1.0),
+])
+def test_block_majorant_matches_mpmath(kind, q, a, b):
+    sign, head, block, _ = _PROBE_KINDS[kind]
+    x = complex(sign * a, b)
+    ref = _mp_block_majorant(q, x, head, block)
+    assert abs(_g_block_majorant(q, x, head, block) - ref) <= 1e-12 * ref

@@ -145,6 +145,32 @@ class TestFailClosed:
     def test_overflow_is_a_ptheta_error(self):
         assert issubclass(RangeOverflowError, PThetaError)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_decompose_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            decompose(0.5, x)
+
+    def test_decompose_square_past_binary64(self):
+        with pytest.raises(RangeOverflowError):
+            decompose(0.5, 1e300)
+        with pytest.raises(RangeOverflowError):
+            theta_certified(-0.5, 1e160)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_functional_equation_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            functional_equation_residual(0.5, x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_pde_residual_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            pde_residual(0.5, x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_mixed_identities_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            mixed_identity_residuals(0.5, x)
+
 
 class TestDerivatives:
     def test_x_derivative_at_zero_is_q(self):
