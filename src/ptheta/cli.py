@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 claim violation, 2 usage error, 3 numerical failure
 (indeterminate or unconverged).  Output format defaults to a table on a
 terminal and JSON when piped; all floats carry 17 significant digits.
-THETA_MAX_N caps the truncation order.
+THETA_MAX_N caps the truncation order of the direct series and of the tail G
+(Theta* is summed by Jacobi's imaginary transformation and has no order).
 """
 
 from __future__ import annotations

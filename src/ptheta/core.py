@@ -5,10 +5,13 @@ Evaluation routes automatically between two certified paths:
 * the direct one-sided series in double-double arithmetic, which is accurate
   whenever the predicted rounding (eps^2 times the absolute term sum) is
   below tolerance, and
-* the product-minus-tail split, which stays accurate at large |x| and |q|
-  near 1 where the direct sum cancels catastrophically.  For q < 0 the split
-  is reached through the quartic decomposition, whose inner parameter q^4 is
-  positive.
+* the split theta = Theta* - G (see :mod:`ptheta.tripleprod`), which stays
+  accurate at large |x| and |q| near 1 where the direct sum cancels
+  catastrophically.  Theta* comes from Jacobi's imaginary transformation,
+  reached for q < 0 through the mod-4 character, so no route recurses.
+
+The quartic decomposition theta = theta1(q^4, x^2/q) + q x theta2(q^4, q x^2)
+stays available as an identity check (:func:`decompose`).
 
 Arguments derived from q and x (q x, q^2 x, x^2/q, ...) are formed in
 double-double so identity residuals certify at full precision.
@@ -57,7 +60,7 @@ def _theta_direct_dd(q2, x4, tol, order=None) -> CertifiedValue:
     return cv_from_sum(s4, n, tail, abs_sum)
 
 
-def _theta_eval_dd(q2, x4, tol, q_max) -> CertifiedValue:
+def _theta_eval_dd(q2, x4, tol) -> CertifiedValue:
     """Routed evaluation with DD parameter and argument; the truncation order
     is solved once and reused by the direct route."""
     qh = q2[0]
@@ -67,9 +70,7 @@ def _theta_eval_dd(q2, x4, tol, q_max) -> CertifiedValue:
     predicted, order = direct_route_order(abs(qh), xa, tol)
     if predicted <= max(tol, 1e-13):
         return _theta_direct_dd(q2, x4, tol, order)
-    if qh > 0.0:
-        return split_parts_dd(q2, x4, tol).difference
-    return _decompose_dd(q2, x4, tol, q_max).recombined
+    return split_parts_dd(q2, x4, tol).difference
 
 
 def _x_sensitivity_bound(q, xa) -> float:
@@ -98,7 +99,7 @@ def theta_certified(
     x = require_x(x)
     if x == 0:
         return CertifiedValue(1.0, 0.0)
-    return _theta_eval_dd((q, 0.0), cdd_from(x), tol, q_max)
+    return _theta_eval_dd((q, 0.0), cdd_from(x), tol)
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,16 @@ class Decomposition:
     recombined: CertifiedValue
 
 
-def _decompose_dd(q2, x4, tol, q_max) -> Decomposition:
-    """The parts at parameter q^4 > 0, so neither routes back here."""
+def _decompose_dd(q2, x4, tol) -> Decomposition:
+    """The parts at parameter q^4 > 0, each routed like any value."""
     q4 = dd_pow_int(q2[0], q2[1], 4)
     xsq = cdd_sqr(x4)
     arg1 = cdd_div_dd(xsq, q2[0], q2[1])
     arg2 = cdd_mul_dd(xsq, q2[0], q2[1])
     if not all(map(math.isfinite, arg1 + arg2)):
         raise RangeOverflowError(f"x^2/q lies past binary64 at x = {cdd_hi(x4)}")
-    t1 = _theta_eval_dd(q4, arg1, tol / 3.0, q_max)
-    t2 = _theta_eval_dd(q4, arg2, tol / 3.0, q_max)
+    t1 = _theta_eval_dd(q4, arg1, tol / 3.0)
+    t2 = _theta_eval_dd(q4, arg2, tol / 3.0)
     qx = cdd_mul_dd(x4, q2[0], q2[1])
     return Decomposition(t1, t2, t1 + t2.scaled_dd(qx))
 
@@ -131,7 +132,7 @@ def decompose(q: float, x: complex, tol: float = DEFAULT_TOL, q_max: float = Q_M
     if x == 0:
         one = CertifiedValue(1.0, 0.0)
         return Decomposition(one, one, one)
-    return _decompose_dd((q, 0.0), cdd_from(x), tol, q_max)
+    return _decompose_dd((q, 0.0), cdd_from(x), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +178,9 @@ def functional_equation_residual(
         return CertifiedValue(0.0, 0.0)
     x4 = cdd_from(x)
     q2 = (q, 0.0)
-    left = _theta_eval_dd(q2, x4, tol, q_max)
+    left = _theta_eval_dd(q2, x4, tol)
     qx = cdd_mul_dd(x4, q, 0.0)
-    scaled = _theta_eval_dd(q2, qx, tol, q_max).scaled_dd(qx)
+    scaled = _theta_eval_dd(q2, qx, tol).scaled_dd(qx)
     inner = 1.0 + scaled.value
     return left - CertifiedValue(inner, scaled.err + EPS * abs(inner))
 
@@ -254,10 +255,10 @@ def _dd_signed_power(q: float, p: float):
     return (xh, 0.0), 4.0 * EPS * (1.0 + abs(p * math.log(q)))
 
 
-def _diag_eval(q: float, p: float, tol: float, q_max: float) -> CertifiedValue:
+def _diag_eval(q: float, p: float, tol: float) -> CertifiedValue:
     """theta(q, -q^p) with argument-rounding folded into err."""
     (xh, xl), rel = _dd_signed_power(q, p)
-    cv = _theta_eval_dd((q, 0.0), (xh, xl, 0.0, 0.0), tol, q_max)
+    cv = _theta_eval_dd((q, 0.0), (xh, xl, 0.0, 0.0), tol)
     sens = _x_sensitivity_bound(q, abs(xh)) * rel
     return CertifiedValue(cv.value, cv.err + sens)
 
@@ -271,7 +272,7 @@ def phi(q: float, k: float, tol: float = DEFAULT_TOL, q_max: float = Q_MAX) -> C
         raise DomainError("the diagonal family is defined for q > 0")
     if k < 0.5:
         raise DomainError("k must be >= 1/2")
-    return _diag_eval(q, k - 1.0, tol, q_max)
+    return _diag_eval(q, k - 1.0, tol)
 
 
 def theta_at_diagonal(q: float, a: float, tol: float = DEFAULT_TOL, q_max: float = Q_MAX) -> CertifiedValue:
@@ -280,7 +281,7 @@ def theta_at_diagonal(q: float, a: float, tol: float = DEFAULT_TOL, q_max: float
     require_q(q, q_max)
     if q < 0 or a <= 0:
         raise DomainError("requires q in (0,1) and a > 0")
-    return _diag_eval(q, -a, tol, q_max)
+    return _diag_eval(q, -a, tol)
 
 
 def nu(q: float, tol: float = DEFAULT_TOL) -> CertifiedValue:

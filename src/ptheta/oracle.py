@@ -1,9 +1,19 @@
-"""High-precision reference evaluations (mpmath).
+"""High-precision reference evaluations.
 
 These are the independent oracle for tests and derived constants: plain
-direct summation at >= 50 significant digits, with working precision raised
-adaptively so that cancellation never eats into the requested digits.  The
-certified double-double engines never call into this module.
+direct summation of the defining series, returned only once it is certified
+to `dps` significant digits.  Each sum runs first at a working precision
+sized from its largest term, then again with the precision set to dps plus
+the digits the sum lost to cancellation (log10 of largest term / |sum|) plus
+a margin; the value is returned once two successive precisions agree to
+`dps` significant digits, and a sum that never settles raises OracleError.
+
+The one-sided series is summed in Python integers: each term comes from the
+last by t_j = t_{j-1} q^j x with a mantissa rounded to the working
+precision, and the terms are added exactly.  Theta* and G are the same
+series at y = 1/x (G(q, x) = y theta(q, y)); the derivative series is summed
+in mpmath.  Results are mpmath numbers.  The certified double-double engines
+never call into this module.
 """
 
 from __future__ import annotations
@@ -13,6 +23,15 @@ import math
 import mpmath as mp
 
 from .certified import deriv_coeff, tri
+
+#: Digits kept beyond dps on every pass after the first.
+_MARGIN = 20
+_PASSES = 4
+_BITS_PER_DIGIT = math.log2(10.0)
+
+
+class OracleError(ArithmeticError):
+    """A reference sum did not settle to the requested digits."""
 
 
 def _headroom(q, x, extra_digits: int) -> int:
@@ -26,74 +45,166 @@ def _headroom(q, x, extra_digits: int) -> int:
     return extra_digits + 15 + max(0, math.ceil(peak))
 
 
+def _settled(sum_at, dps: int, work: int):
+    """The sum sum_at(w) -> (sum, largest |term|) at working precision w
+    digits, certified to dps significant digits (see the module docstring).
+    The second precision may lie below the first when the first shows the
+    sum lost fewer digits than its headroom allowed; after a disagreement
+    the next precision lies above all earlier ones."""
+    s, big = sum_at(work)
+    top = work
+    for attempt in range(_PASSES):
+        if s:
+            lost = max(0, math.ceil(float(mp.log10(big / abs(s)))))
+        else:
+            lost = top if big else 0
+        nxt = dps + _MARGIN + lost
+        if attempt:
+            nxt = max(nxt, top + 10)
+        elif nxt == work:
+            nxt += 10
+        s_next, big = sum_at(nxt)
+        with mp.workdps(max(work, nxt)):
+            if abs(s_next - s) <= mp.mpf(10) ** -dps * abs(s_next):
+                return s_next
+        s, work, top = s_next, nxt, max(top, nxt)
+    raise OracleError(f"the reference sum did not settle to {dps} digits")
+
+
+def _parts(v):
+    """v (float, complex or mpmath number) as exact (re, im, exp) integers:
+    v = (re + i im) 2^exp."""
+    v = mp.mpmathify(v)
+    parts = (v._mpf_, (0, 0, 0, 0)) if isinstance(v, mp.mpf) else v._mpc_
+    ints = [(-man if sign else man, exp) for sign, man, exp, _ in parts]
+    e = min((exp for man, exp in ints if man), default=0)
+    re, im = (man << (exp - e) if man else 0 for man, exp in ints)
+    return re, im, e
+
+
+def _theta_int(q, x, bits: int):
+    """sum_{j>=0} q^{j(j+1)/2} x^j for real q, 0 < |q| < 1: each term to
+    `bits` bits, the terms added exactly.  Returns (value, log2 bound on the
+    largest |term|) with value = (re + i im) 2^lsb as a triple."""
+    qm, _, qe = _parts(q)
+    xr, xi, xe = _parts(x)
+    x_top = max(xr.bit_length(), xi.bit_length()) + xe + 1  # |x| < 2^x_top
+    tr, ti, te = 1, 0, 0  # the term, (tr + i ti) 2^te
+    pm, pe = 1, 0  # q^j = pm 2^pe
+    sr, si, lsb = 1, 0, 0  # the sum
+    top = 1
+    for _ in range(1, 10_000_000):
+        pm *= qm
+        pe += qe
+        sh = pm.bit_length() - bits
+        if sh > 0:
+            pm >>= sh
+            pe += sh
+        if xi:
+            tr, ti = tr * pm, ti * pm
+            tr, ti = tr * xr - ti * xi, tr * xi + ti * xr
+        else:
+            tr, ti = tr * pm * xr, ti * pm * xr
+        te += pe + xe
+        bl = max(tr.bit_length(), ti.bit_length())
+        if bl > bits:
+            tr >>= bl - bits
+            ti >>= bl - bits
+            te += bl - bits
+            bl = bits
+        if te >= lsb:
+            sr += tr << (te - lsb)
+            si += ti << (te - lsb)
+        else:
+            sr = (sr << (lsb - te)) + tr
+            si = (si << (lsb - te)) + ti
+            lsb = te
+        mag = bl + te + 1  # |t| < 2^mag
+        top = max(top, mag)
+        # past the peak (ratio q^{j+1} x < 1/2) the rest is below 2 |t|
+        if pm.bit_length() + pe + x_top <= -1:
+            s_log = max(sr.bit_length(), si.bit_length()) - 1 + lsb
+            if mag < max(0, s_log) - bits - 8:
+                return (sr, si, lsb), top
+    raise OracleError("the reference series did not converge")
+
+
+def _to_mp(v):
+    sr, si, lsb = v
+    return mp.mpc(mp.mpf((sr, lsb)), mp.mpf((si, lsb))) if si else mp.mpf((sr, lsb))
+
+
+def _theta_at(q, x, work: int, inverse: bool):
+    """(theta(q, x), largest |term|) at `work` digits; with inverse=True
+    (y theta(q, y), its largest term) for y = 1/x, which is G(q, x)."""
+    bits = int(work * _BITS_PER_DIGIT) + 40
+    with mp.workprec(bits + 20):
+        y = 1 / mp.mpmathify(x) if inverse else x
+        if not q or not y:
+            return +y if inverse else mp.mpf(1), mp.mpf(1)
+        value, top = _theta_int(q, y, bits)
+        big = mp.mpf(2) ** top
+        if not inverse:
+            return _to_mp(value), big
+        return y * _to_mp(value), abs(y) * big
+
+
 def theta_ref(q, x, dps: int = 50):
     """Reference value of the series at (q, x); mpf or mpc."""
-    with mp.workdps(_headroom(q, x, dps)):
-        qm = mp.mpf(q)
-        xm = mp.mpmathify(x)
-        s = mp.mpf(1)
-        t = mp.mpmathify(1)
-        qp = mp.mpf(1)
-        floor = mp.mpf(10) ** (-(mp.mp.dps - 5))
-        for j in range(1, 200_000):
-            qp *= qm
-            t *= qp * xm
-            s += t
-            if abs(t) < floor * (1 + abs(s)) and abs(qp * xm) < 0.5:
-                break
-        return +s
+
+    def sum_at(work):
+        value, big = _theta_at(q, x, work, False)
+        with mp.workdps(work):
+            return +value, big
+
+    return _settled(sum_at, dps, _headroom(q, x, dps))
 
 
 def theta_deriv_ref(q, x, m: int = 0, nq: int = 0, dps: int = 50):
     """Reference term-wise derivative (d/dx)^m (d/dq)^nq."""
-    with mp.workdps(_headroom(q, x, dps) + 10):
-        qm = mp.mpf(q)
-        xm = mp.mpmathify(x)
-        s = mp.mpmathify(0)
-        floor = mp.mpf(10) ** (-(mp.mp.dps - 5))
-        for j in range(m, 200_000):
-            c = deriv_coeff(j, m, nq)
-            if c:
-                t = c * qm ** (tri(j) - nq) * xm ** (j - m)
-                s += t
-                if j > m + 4 and abs(t) < floor * (1 + abs(s)) and abs(qm**j * xm) < 0.5:
-                    break
-        return +s
+
+    def sum_at(work):
+        with mp.workdps(work):
+            qm = mp.mpf(q)
+            xm = mp.mpmathify(x)
+            s = mp.mpmathify(0)
+            big = mp.mpf(0)
+            floor = mp.mpf(10) ** (-(work - 5))
+            for j in range(m, 200_000):
+                c = deriv_coeff(j, m, nq)
+                if c:
+                    t = c * qm ** (tri(j) - nq) * xm ** (j - m)
+                    s += t
+                    at = abs(t)
+                    big = max(big, at)
+                    if j > m + 4 and at < floor * (1 + abs(s)) and abs(qm**j * xm) < 0.5:
+                        break
+            return +s, big
+
+    return _settled(sum_at, dps, _headroom(q, x, dps) + 10)
 
 
 def theta_star_ref(q, x, dps: int = 50):
-    """Reference two-sided sum sum_{j in Z} q^{j(j+1)/2} x^j."""
-    with mp.workdps(_headroom(q, x, dps) + 10):
-        qm = mp.mpf(q)
-        xm = mp.mpmathify(x)
-        s = mp.mpmathify(0)
-        floor = mp.mpf(10) ** (-(mp.mp.dps - 5))
-        for direction in (1, -1):
-            j = 0 if direction == 1 else -1
-            while True:
-                t = qm ** tri(j) * xm**j
-                s += t
-                j += direction
-                if abs(t) < floor and abs(j) > 4:
-                    break
-                if abs(j) > 100_000:
-                    raise RuntimeError("two-sided reference sum did not converge")
-        return +s
+    """Reference two-sided sum sum_{j in Z} q^{j(j+1)/2} x^j = theta + G."""
+
+    def sum_at(work):
+        t, t_big = _theta_at(q, x, work, False)
+        g, g_big = _theta_at(q, x, work, True)
+        with mp.workdps(work):
+            return t + g, max(t_big, g_big)
+
+    return _settled(sum_at, dps, _headroom(q, x, dps) + 10)
 
 
 def g_ref(q, x, dps: int = 50):
     """Reference negative-index tail sum_{m>=1} q^{m(m-1)/2} x^{-m}."""
-    with mp.workdps(dps + 25):
-        qm = mp.mpf(q)
-        xm = mp.mpmathify(x)
-        s = mp.mpmathify(0)
-        floor = mp.mpf(10) ** (-(mp.mp.dps - 5))
-        for m in range(1, 100_000):
-            t = qm ** (m * (m - 1) // 2) * xm ** (-m)
-            s += t
-            if abs(t) < floor and m > 4:
-                break
-        return +s
+
+    def sum_at(work):
+        g, big = _theta_at(q, x, work, True)
+        with mp.workdps(work):
+            return +g, big
+
+    return _settled(sum_at, dps, dps + 25)
 
 
 def real_zero_ref(q, lo: float, hi: float, dps: int = 30):

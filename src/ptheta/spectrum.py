@@ -254,7 +254,7 @@ def sign_at_anchor(q: float, s: int, tol: float = DEFAULT_TOL):
 
 def _anchor_value(q: float, m: int, tol: float) -> CertifiedValue:
     """theta(q, -q^{-m}) as q^m theta(q, -q^m)."""
-    return _diag_eval(q, m, tol, Q_MAX).scaled_dd((*dd_pow_int(q, 0.0, m), 0.0, 0.0))
+    return _diag_eval(q, m, tol).scaled_dd((*dd_pow_int(q, 0.0, m), 0.0, 0.0))
 
 
 def double_zero_interval_check(point: SpectralPoint) -> bool:

@@ -1,14 +1,47 @@
-"""Two-sided series machinery: the infinite product, the tail, and the split.
+"""Two-sided series machinery: Theta*, the tail G, and the split.
 
-The two-sided sum Theta*(q,x) = sum_{j in Z} q^{j(j+1)/2} x^j factors as the
-infinite product prod_{m>=1} (1-q^m)(1+x q^m)(1+q^{m-1}/x); the negative-index
-part G(q,x) = 1/x + q/x^2 + q^3/x^3 + q^6/x^4 + ... satisfies
+The two-sided sum Theta*(q,x) = sum_{j in Z} q^{j(j+1)/2} x^j and its
+negative-index part G(q,x) = 1/x + q/x^2 + q^3/x^3 + ... = theta(q,1/x)/x
+give
 
     theta(q, x) = Theta*(q, x) - G(q, x).
 
-Neither the product nor G suffers the catastrophic cancellation of the
-one-sided series at large |x|, which is exactly why this split exists: it is
-the accurate route where direct summation loses all digits.
+Neither side suffers the catastrophic cancellation of the one-sided series
+at large |x| and |q| near 1, which is why this split exists: it is the
+accurate route where direct summation loses all digits.  G is the direct
+series at 1/x, times 1/x.
+
+Theta* for q > 0 comes from Jacobi's imaginary transformation (Poisson
+summation of the Gaussian j -> q^{j(j+1)/2} x^j; DLMF 20.7(viii),
+https://dlmf.nist.gov/20.7).  With q = e^{-t}, x = e^u, |Im u| <= pi,
+
+    Theta*(q, x) = sqrt(2 pi/t) sum_k exp(Z_k^2/(2t)),  Z_k = u - t/2 + 2 pi i k,
+
+which is sqrt(2 pi/t) e^{(u - t/2)^2/(2t)} sum_k e^{-2 pi^2 k^2/t + 2 pi i k (u/t - 1/2)}
+written term by term.  Relative to the largest term the k-th is
+exp(-2 pi^2 ((nu + k)^2 - nu^2)/t), nu = Im u/(2 pi), so the terms past
+|k| = K fall below e^{-2 pi^2 K(K+1)/t} (inside the usual bound
+e^{-2 pi^2 (K^2-K)/t}): one or two terms for q >= 0.9, K = 1 for q >= 0.79
+and K = 10 at q = 1e-10.  Everything is formed in double-double (t = -ln q,
+ln x, the exponents up to 709 and the phases, reduced in turns) with the
+ddarith functions, and err bounds every step.  There is no truncation order
+to cap.  The range is that of the direct route: RangeOverflowError once the
+largest |Theta*| on the circle |x| = r, sqrt(2 pi/t) e^{(ln r - t/2)^2/(2t)},
+the scale of the series' largest terms, passes 2^996 (e^690.4), where a DD
+product of it would overflow.
+
+For q < 0 the mod-4 character (-1)^{j(j+1)/2} = sqrt(2) cos(pi(2j+1)/4)
+gives
+
+    f(q, x) = [(1+i) f(|q|, ix) + (1-i) f(|q|, -ix)]/2
+
+for f = theta, Theta* and G alike; for real x it is Re w - Im w with
+w = f(|q|, ix).  Theta* at q < 0 takes this route; G sums its series at q
+directly.
+
+Theta* vanishes at x = -q^j, where a factor of the triple product
+prod (1-q^m)(1+x q^m)(1+q^{m-1}/x) is zero; at x = -1 (j = 0), a zero for
+every q, the value is 0 with err 0.
 
 Internal entry points accept the parameter and argument as double-double
 values so that identity checks (which feed q^4, x^2/q, ...) lose nothing.
@@ -21,137 +54,200 @@ from dataclasses import dataclass
 
 from .certified import (
     EPS,
-    EPS2,
-    LN2,
-    _SPL,
     CertifiedValue,
     Q_MAX,
     cv_from_sum,
-    n_cap,
     require_q,
     require_x,
+    rounding_bound,
     theta_sum_dd,
     truncation_order,
 )
-
-# cdd_abs1 and cdd_add are no longer called here, but the benchmark's call
-# counter (perfbench/spans.py, DD_PRIMITIVES) looks up every primitive it
-# counts by name on this module.
 from .ddarith import (
+    DD_FN_ERR,
+    DD_OP,
+    TWO_PI_DD,
     cdd_abs1,
     cdd_add,
     cdd_from,
     cdd_hi,
     cdd_inv,
+    cdd_log_turns,
     cdd_mul,
     cdd_mul_dd,
     dd_add,
+    dd_div,
+    dd_exp,
+    dd_log,
     dd_mul,
+    dd_sincos_turns,
+    dd_sqrt,
 )
 from .errors import DomainError, InfeasibleToleranceError, RangeOverflowError
+
+#: Terms below e^-_CUT of the largest are bounded, not summed.
+_CUT = 80.0
+#: Exponents below this are bounded, not evaluated (dd_exp's low limb would
+#: leave the normal range).
+_EXP_MIN = -650.0
+#: ln 2^996: past it the Dekker splitter of a DD product overflows.
+_LOG_RANGE = 996.0 * math.log(2.0)
+_TWO_PI = 2.0 * math.pi
+_TWO_PI_PI = 2.0 * math.pi * math.pi  # 2 pi^2
 
 
 @dataclass(frozen=True)
 class TripleProductParts:
-    """Product value, tail value, and their certified difference."""
+    """Theta* value, tail value, and their certified difference."""
 
     theta_star: CertifiedValue
     g_tail: CertifiedValue
     difference: CertifiedValue
 
 
-def _realify(value: complex, err: float) -> CertifiedValue:
-    if isinstance(value, complex) and value.imag == 0.0:
-        return CertifiedValue(value.real, err)
-    return CertifiedValue(value, err)
+def _poisson_dd(t, lr, nu, real: bool):
+    """Theta*(e^{-t}, e^{lr + 2 pi i nu}) by the transformation, |nu| <= 1/2.
 
-
-def _product_order(q_abs: float, x_abs: float, rel_tol: float):
-    """(M, rel_trunc): the smallest M so the omitted factors perturb the
-    product by <= rel_tol, and the relative bound on that perturbation.
-
-    Uses |log prod_{m>M}| <= 2 sum_{m>M} q^m (1 + |x| + 1/(q|x|)), valid once
-    every omitted sub-factor deviation is <= 1/2.  RangeOverflowError when
-    that bound's coefficient leaves binary64.
+    t, lr, nu are (DD pair, err bound) with t > 0.  Returns (value4, err):
+    the complex DD value and an absolute bound on its distance from Theta*
+    before any rounding to binary64.  With real=True (nu = 0 or 1/2) the
+    terms pair off as conjugates (Z_k with Im Z_k = +-2 pi (nu + k)), so only
+    those with nu + k >= 0 are formed and the value is real.
     """
-    qx = q_abs * x_abs
-    c2 = 2.0 * (1.0 + x_abs + 1.0 / qx) if qx else math.inf
-    coef = c2 / (1.0 - q_abs)
-    if not coef < math.inf:
-        raise RangeOverflowError(f"the product's order bound at |x| = {x_abs} lies past binary64")
-    cap = n_cap()
-    lq = math.log(q_abs)
-    big = max(x_abs, 1.0 / qx, 1.0)
-    m0 = max(1, math.ceil((-LN2 - math.log(big)) / lq) - 1)
-    while (m0 + 1) * lq + math.log(big) > -LN2:
-        m0 += 1
-    target = math.log(rel_tol / coef)
-    m1 = max(m0, math.ceil(target / lq) - 1)
-    while (m1 + 1) * lq > target:
-        m1 += 1
-    if m1 > cap:
-        raise InfeasibleToleranceError(
-            f"product order {m1} exceeds cap {cap} (q_abs={q_abs}, x_abs={x_abs})"
-        )
-    return m1, math.expm1(c2 * q_abs ** (m1 + 1) / (1.0 - q_abs))
+    (th, tl), et = t
+    (lrh, lrl), elr = lr
+    (nuh, nul), enu = nu
+    rt = et / th  # relative error of t
+    ith, itl = dd_div(1.0, 0.0, th, tl)
+    wh, wl = dd_add(lrh, lrl, -0.5 * th, -0.5 * tl)  # Re Z_k = ln|x| - t/2
+    wa = abs(wh)
+    ew = elr + 0.5 * et + DD_OP * (abs(lrh) + 0.5 * th)
+    # the largest |Theta*| on the circle |x| = e^lr is at x = e^lr:
+    # sqrt(2 pi/t) e^{w^2/(2t)}, the scale of the series' largest terms
+    peak = 0.5 * (math.log(_TWO_PI / th) + wh * wh / th)
+    if peak > _LOG_RANGE:
+        raise RangeOverflowError(
+            f"Theta* at |x| = e^{lrh:.6g} reaches e^{peak:.6g}, past binary64's DD range")
+
+    # term k is e^{-2 pi^2 k(2 nu + k)/t} of the k = 0 one, below e^-_CUT
+    # once k(2 nu + k) >= c0; past |k| = K that holds for all k, since
+    # (K+1-|nu|)^2 - nu^2 >= K(K+1).  Inside, a term is kept unless
+    # k(2 nu + k) clears c1 > c0 by more than its rounding error.
+    c0 = _CUT * th / _TWO_PI_PI
+    big_k = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 4.0 * (c0 + 1.0)) - 1.0)))
+    c1 = (_CUT + 1.0) * th / _TWO_PI_PI
+    ks = [k for k in range(-big_k, big_k + 1)
+          if k * (2.0 * nuh + k) < c1 + 4e-16 * abs(k) * (1 + abs(k))]
+    omitted = 2 * big_k + 1 - len(ks)
+
+    terms = []
+    for k in ks:
+        nh, nl = dd_add(nuh, nul, float(k), 0.0)
+        if real and nh < 0.0:
+            continue
+        na = abs(nh)
+        en = enu + DD_OP * (abs(nuh) + abs(k))
+        vh, vl = dd_mul(nh, nl, *TWO_PI_DD)  # Im Z_k
+        va = abs(vh)
+        ev = _TWO_PI * en + 2.0 * DD_OP * va
+        # X = Re Z_k^2/(2t) = (w - v)(w + v)/(2t), T = Im Z_k^2/(2t) in turns
+        xh, xl = dd_mul(*dd_mul(*dd_add(wh, wl, -vh, -vl), *dd_add(wh, wl, vh, vl)), ith, itl)
+        xh, xl = 0.5 * xh, 0.5 * xl
+        sx = 0.5 * (wa + va) ** 2 / th
+        ex = (wa * ew + va * ev) / th + sx * (rt + 8.0 * DD_OP)
+        tth, ttl = dd_mul(*dd_mul(wh, wl, nh, nl), ith, itl)
+        st = wa * na / th
+        e_turns = (na * ew + wa * en) / th + st * (rt + 4.0 * DD_OP)
+        if not (ex < 1e-3 and e_turns < 1e-3):
+            raise InfeasibleToleranceError(
+                f"the transformation's exponents carry no digits at t = {th:.6g}")
+        terms.append((k, 1.0 if not real or nh == 0.0 else 2.0, xh, xl, ex, tth, ttl, e_turns))
+
+    x0 = next(term for term in terms if term[0] == 0)
+    # omitted terms, relative to the k = 0 one: at most e^-_CUT each inside
+    # |k| <= K, and a geometric tail of ratio <= e^{-4 pi^2/t} on each side
+    tail = math.exp(x0[2] + x0[4] + 1e-9 - _CUT) * (
+        omitted + 2.0 / -math.expm1(-2.0 * _TWO_PI_PI / th))
+
+    sr, srl, si, sil = 0.0, 0.0, 0.0, 0.0
+    err, abs_sum = tail, 0.0
+    for _, weight, xh, xl, ex, tth, ttl, e_turns in terms:
+        if xh < _EXP_MIN:
+            err += weight * math.exp(xh + ex + 1e-9)
+            continue
+        mh, ml = dd_exp(xh, xl)
+        if tth == 0.0 and ttl == 0.0:
+            ch, cl, sh, sl = mh, ml, 0.0, 0.0
+        else:
+            s4 = dd_sincos_turns(tth, ttl)
+            ch, cl = dd_mul(mh, ml, s4[2], s4[3])
+            sh, sl = dd_mul(mh, ml, s4[0], s4[1])
+        if weight == 2.0:
+            ch, cl = 2.0 * ch, 2.0 * cl
+        sr, srl = dd_add(sr, srl, ch, cl)
+        if not real:
+            si, sil = dd_add(si, sil, sh, sl)
+        # exponent error, dd_exp's relative error, sincos' and the products'
+        # errors, and the phase error 2 pi e_turns
+        err += weight * mh * (math.expm1(ex) + 3.0 * DD_FN_ERR + 4.0 * DD_OP
+                              + _TWO_PI * e_turns)
+        abs_sum += weight * mh
+    err += DD_OP * len(terms) * abs_sum  # the additions
+
+    # sqrt(2 pi/t): relative error rt/2 from t plus three operations
+    ph, pl = dd_sqrt(*dd_mul(*TWO_PI_DD, ith, itl))
+    value = cdd_mul_dd((sr, srl, si, sil), ph, pl)
+    return value, ph * (err + abs_sum * (0.5 * rt + 6.0 * DD_OP)) * 1.001
 
 
-def _theta_star_dd(q2, x4, ix4, rel_tol: float) -> CertifiedValue:
-    """The truncated product at x (DD) with ix4 = 1/x (DD)."""
-    m_order, rel_trunc = _product_order(abs(q2[0]), math.hypot(x4[0], x4[2]),
-                                        min(rel_tol, 0.05))
-    p = (1.0, 0.0, 0.0, 0.0)
-    qph, qpl = 1.0, 0.0  # q^{m-1}
-    rel_round = 4.0 * EPS2 * float(m_order) * float(m_order)
-    qh, ql = q2
-    for m in range(1, m_order + 1):
-        w3 = cdd_mul_dd(ix4, qph, qpl)
-        qph, qpl = dd_mul(qph, qpl, qh, ql)
-        w2 = cdd_mul_dd(x4, qph, qpl)
-        # f1 = 1 - q^m is real: fold it in with the cheaper real multiply
-        f1h, f1l = dd_add(1.0, 0.0, -qph, -qpl)
-        if f1h == 0.0 and f1l == 0.0:
-            return CertifiedValue(0.0, 0.0)
-        rel_round += 4.0 * EPS2 + 2.0 * EPS2 * (1.0 + qph) / abs(f1h)
-        p = cdd_mul_dd(p, f1h, f1l)
-        for w in (w2, w3):
-            fh, fl = dd_add(1.0, 0.0, w[0], w[1])
-            fih, fil = w[2], w[3]
-            fabs = abs(fh) + abs(fih)
-            if fabs == 0.0:
-                return CertifiedValue(0.0, 0.0)  # exact zero factor
-            rel_round += 4.0 * EPS2 + 2.0 * EPS2 * (1.0 + abs(w[0]) + abs(w[2])) / fabs
-            # p *= f, complex DD product inlined (this loop dominates the
-            # split route's runtime)
-            prh, prl, pih, pil = p
-            pr = prh * fh
-            c = _SPL * prh; ah = c - (c - prh); al = prh - ah
-            c = _SPL * fh; bh = c - (c - fh); bl = fh - bh
-            e = ((ah * bh - pr) + ah * bl + al * bh) + al * bl + (prh * fl + prl * fh)
-            ach = pr + e; acl = e - (ach - pr)
-            pr = pih * fih
-            c = _SPL * pih; ah2 = c - (c - pih); al2 = pih - ah2
-            c = _SPL * fih; bh2 = c - (c - fih); bl2 = fih - bh2
-            e = ((ah2 * bh2 - pr) + ah2 * bl2 + al2 * bh2) + al2 * bl2 + (pih * fil + pil * fih)
-            bdh = pr + e; bdl = e - (bdh - pr)
-            pr = prh * fih
-            e = ((ah * bh2 - pr) + ah * bl2 + al * bh2) + al * bl2 + (prh * fil + prl * fih)
-            adh = pr + e; adl = e - (adh - pr)
-            pr = pih * fh
-            e = ((ah2 * bh - pr) + ah2 * bl + al2 * bh) + al2 * bl + (pih * fl + pil * fh)
-            bch = pr + e; bcl = e - (bch - pr)
-            s = ach - bdh; bb = s - ach
-            e = (ach - (s - bb)) + (-bdh - bb) + (acl - bdl)
-            nrh = s + e; nrl = e - (nrh - s)
-            s = adh + bch; bb = s - adh
-            e = (adh - (s - bb)) + (bch - bb) + (adl + bcl)
-            nih = s + e; nil = e - (nih - s)
-            p = (nrh, nrl, nih, nil)
-    value = cdd_hi(p)
-    err = abs(value) * (rel_round + rel_trunc) + 2.0 * EPS * abs(value)
+def _wrap_turns(nh, nl, shift):
+    """nu + shift reduced to (-1/2, 1/2] (shift = +-1/4); the DD additions
+    add at most 4 u^2 (|nu| + 1) <= DD_OP."""
+    nh, nl = dd_add(nh, nl, shift, 0.0)
+    if nh > 0.5:
+        nh, nl = dd_add(nh, nl, -1.0, 0.0)
+    elif nh <= -0.5:
+        nh, nl = dd_add(nh, nl, 1.0, 0.0)
+    return nh, nl
+
+
+def _star_dd(q2, x4):
+    """Theta*(q, x) for real DD q, 0 < |q| < 1, and nonzero complex DD x:
+    (value4, err) before rounding to binary64."""
+    if x4 == (-1.0, 0.0, 0.0, 0.0):  # x = -q^0, a zero of the triple product
+        return (0.0, 0.0, 0.0, 0.0), 0.0
+    qh, ql = q2 if q2[0] > 0.0 else (-q2[0], -q2[1])
+    lqh, lql = dd_log(qh, ql)
+    t = ((-lqh, -lql), DD_FN_ERR * (1.0 - lqh))
+    lrh, lrl, nuh, nul = cdd_log_turns(x4)
+    lr = ((lrh, lrl), 2.0 * DD_FN_ERR * (1.0 + abs(lrh)))
+    on_axis = x4[0] == x4[1] == 0.0 or x4[2] == x4[3] == 0.0
+    enu = 0.0 if on_axis else DD_FN_ERR
+    real = x4[2] == x4[3] == 0.0
+    if q2[0] > 0.0:
+        return _poisson_dd(t, lr, ((nuh, nul), enu), real)
+    # the shifted arguments carry the two-sum's 4 u^2 (|nu| + 1) at most
+    enu += DD_OP
+    w1, e1 = _poisson_dd(t, lr, (_wrap_turns(nuh, nul, 0.25), enu), False)
+    if real:
+        rh, rl = dd_add(w1[0], w1[1], -w1[2], -w1[3])
+        return (rh, rl, 0.0, 0.0), 1.4143 * e1 + DD_OP * cdd_abs1(w1)
+    w2, e2 = _poisson_dd(t, lr, (_wrap_turns(nuh, nul, -0.25), enu), False)
+    # [(1+i) w1 + (1-i) w2]/2
+    a = cdd_add((w1[0], w1[1], w1[0], w1[1]), (-w1[2], -w1[3], w1[2], w1[3]))
+    b = cdd_add((w2[0], w2[1], -w2[0], -w2[1]), (w2[2], w2[3], w2[2], w2[3]))
+    v = tuple(0.5 * c for c in cdd_add(a, b))
+    return v, 0.7072 * (e1 + e2) + 4.0 * DD_OP * (cdd_abs1(w1) + cdd_abs1(w2))
+
+
+def _round(v4, err: float, what: str) -> CertifiedValue:
+    """The binary64 value of a DD value4 with DD-level err, plus the
+    representation term; real when the imaginary part is zero."""
+    v = v4[0] if v4[2] == 0.0 and v4[3] == 0.0 else complex(v4[0], v4[2])
+    err = err + 2.0 * EPS * abs(v)
     if not err < math.inf:
-        raise RangeOverflowError(f"the product {value} lies past binary64")
-    return _realify(value, err)
+        raise RangeOverflowError(f"{what} {v} lies past binary64")
+    return CertifiedValue(v, err)
 
 
 def _inverse(x4):
@@ -169,54 +265,63 @@ def _inverse(x4):
         raise RangeOverflowError(f"1/x lies past binary64 at x = {cdd_hi(x4)}") from None
 
 
-def _g_tail_dd(q2, ix4, tol: float) -> CertifiedValue:
+def _g_dd(q2, ix4, tol: float):
     """G(q, x) = theta(q, y) y with y = 1/x (DD): the direct series at y,
-    solved for the absolute tolerance tol/|y|, times y in DD before rounding."""
+    solved for the absolute tolerance tol/|y|, times y in DD.  Returns
+    (value4, terms, tail, abs_sum) for :func:`cv_from_sum`."""
     ya = math.hypot(ix4[0], ix4[2])
     n, tail = truncation_order(abs(q2[0]), ya, tol / ya)
     s4, abs_sum = theta_sum_dd(q2, ix4, n)
-    return cv_from_sum(cdd_mul(s4, ix4), n + 1, tail * ya, abs_sum * ya)
+    return cdd_mul(s4, ix4), n + 1, tail * ya, abs_sum * ya
+
+
+def _validated(q, x, q_max, what):
+    require_q(q, q_max)
+    x = require_x(x)
+    if x == 0:
+        raise DomainError(f"{what} requires x != 0")
+    return cdd_from(x)
 
 
 def jacobi_theta_star(
     q: float, x: complex, tol: float = 1e-14, q_max: float = Q_MAX
 ) -> CertifiedValue:
-    """Certified truncated product for the two-sided sum.
+    """Certified two-sided sum Theta*(q, x), 0 < |q| <= q_max, x != 0.
 
-    `tol` is the relative perturbation target for the omitted factors; err
-    converts it (plus accumulated rounding) to an absolute bound.  Valid for
-    q of either sign, 0 < |q| <= q_max.
+    The transformation's omitted terms are below e^-80 relative whatever
+    `tol` (kept for a uniform signature); err is the DD-level bound plus the
+    rounding to binary64.  The bound is relative to the Gaussian envelope
+    sqrt(2 pi/t) e^{Re (u - t/2)^2/(2t)}, which exceeds the largest series
+    term by up to e^{t/8}: for q below about 1e-60 at moderate |x| (never
+    reached by the router, which sums such points directly) err loosens
+    accordingly.
     """
-    require_q(q, q_max)
-    x = require_x(x)
-    if x == 0:
-        raise DomainError("the product form requires x != 0")
-    x4 = cdd_from(x)
-    return _theta_star_dd((q, 0.0), x4, _inverse(x4), tol)
+    x4 = _validated(q, x, q_max, "the two-sided sum")
+    return _round(*_star_dd((q, 0.0), x4), "Theta*")
 
 
 def g_tail(q: float, x: complex, tol: float = 1e-14, q_max: float = Q_MAX) -> CertifiedValue:
     """Certified negative-index tail sum_{m>=1} q^{m(m-1)/2} / x^m."""
-    require_q(q, q_max)
-    x = require_x(x)
-    if x == 0:
-        raise DomainError("the tail series requires x != 0")
-    return _g_tail_dd((q, 0.0), _inverse(cdd_from(x)), tol)
+    x4 = _validated(q, x, q_max, "the tail series")
+    return cv_from_sum(*_g_dd((q, 0.0), _inverse(x4), tol))
 
 
 def theta_via_triple_product(
     q: float, x: complex, tol: float = 1e-14, q_max: float = Q_MAX
 ) -> TripleProductParts:
-    """theta as (product) minus (tail), with certified parts."""
-    ts = jacobi_theta_star(q, x, tol, q_max)
-    g = g_tail(q, x, tol, q_max)
-    return TripleProductParts(ts, g, ts - g)
+    """theta as Theta* minus the tail, with certified parts."""
+    return split_parts_dd((q, 0.0), _validated(q, x, q_max, "the split"), tol)
 
 
 def split_parts_dd(q2, x4, tol: float) -> TripleProductParts:
-    """DD-argument variant used by the evaluation router; 1/x is formed once
-    for both parts."""
-    ix4 = _inverse(x4)
-    ts = _theta_star_dd(q2, x4, ix4, min(tol, 1e-14))
-    g = _g_tail_dd(q2, ix4, min(tol, 1e-14))
-    return TripleProductParts(ts, g, ts - g)
+    """DD-argument split used by the evaluation router.  Theta* carries only
+    DD-level error, so G gets half of the absolute tolerance and the
+    difference, formed in DD before rounding, stays within tol plus its
+    representation term."""
+    s4, es = _star_dd(q2, x4)
+    g4, n, tail, abs_sum = _g_dd(q2, _inverse(x4), 0.5 * tol)
+    eg = tail + rounding_bound(n, abs_sum * 1.000001, 0.0)
+    d4 = cdd_add(s4, tuple(-v for v in g4))
+    ed = es + eg + DD_OP * (cdd_abs1(s4) + cdd_abs1(g4))
+    return TripleProductParts(_round(s4, es, "Theta*"), _round(g4, eg, "G"),
+                              _round(d4, ed, "theta"))

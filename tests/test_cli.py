@@ -1,19 +1,25 @@
 """CLI surface: flags, formats, schemas, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from ptheta.serialize import SCHEMAS
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(*args, env=None):
-    import os
-
+    # the subprocess imports ptheta from this checkout, with or without an
+    # installed package or PYTHONPATH in the calling environment
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -54,7 +60,9 @@ class TestEval:
                        "--tol", "1e-20").returncode == 2
 
     def test_truncation_cap_env(self):
-        r = run_cli("eval", "--q", "0.99", "--x", "-6",
+        # at x = -1 both the direct series and the tail G at 1/x = -1 need
+        # an order above 40 (Theta* vanishes there and needs none)
+        r = run_cli("eval", "--q", "0.99", "--x=-1.0",
                     env={"THETA_MAX_N": "40"})
         assert r.returncode == 3
         assert "numerical failure" in r.stderr
