@@ -9,9 +9,7 @@ sum_{j>=0} q^{j(j+1)/2} x^j with q in (-1,0) u (0,1).
 from .certified import (
     CertifiedValue,
     DEFAULT_TOL,
-    Parameter,
     Q_MAX,
-    SeriesTerm,
     truncation_order,
 )
 from .core import (
@@ -86,8 +84,7 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertifiedValue", "DEFAULT_TOL", "Parameter", "Q_MAX", "SeriesTerm",
-    "truncation_order",
+    "CertifiedValue", "DEFAULT_TOL", "Q_MAX", "truncation_order",
     "Decomposition", "decompose", "functional_equation_residual",
     "inside_contour", "katsnelson_residual", "limit_function",
     "mixed_identity_residuals", "nu", "pde_residual", "phi",

@@ -1,12 +1,14 @@
 """Certified series machinery for the partial theta function.
 
 The one-sided series sum_{j>=0} q^{j(j+1)/2} x^j is summed in double-double
-arithmetic with exact integer exponents.  Every evaluation returns a value
-together with a rigorous absolute error bound made of three parts:
+(DD) arithmetic with exact integer exponents, and the term-wise derivatives
+in Python integers (:func:`theta_deriv_sum`).  Every evaluation returns a
+value together with a rigorous absolute error bound made of three parts:
 
 * the geometric tail bound for the omitted terms,
-* a summation/rounding bound proportional to eps^2 * sum_j |t_j|,
-* a representation term ~ eps * |value| for dropping the low DD limb.
+* a rounding bound: eps^2 times sum_j |t_j| for the DD sums, and the
+  integer kernel's proven bound for the derivatives,
+* a representation term ~ eps * |value| for rounding the sum to binary64.
 
 Sign decisions downstream are permitted only when |value| > err.
 """
@@ -18,7 +20,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ddarith import cdd_mul, dd_from_int, dd_pow_int
 from .errors import (
     DomainError,
     InfeasibleToleranceError,
@@ -29,6 +30,7 @@ from .errors import (
 EPS = 2.220446049250313e-16
 _SPL = 134217729.0  # Dekker splitter, inlined in the hot loops
 EPS2 = EPS * EPS
+_TINY = 5e-324  # the smallest subnormal
 LN2 = math.log(2.0)
 
 #: Largest |q| accepted by certified operations unless explicitly overridden.
@@ -50,21 +52,6 @@ def tri(j: int) -> int:
     return j * (j + 1) // 2
 
 
-@dataclass(frozen=True)
-class Parameter:
-    """The base q of the series, restricted to (-1,0) u (0,1)."""
-
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 < abs(self.q) < 1.0) or math.isnan(self.q):
-            raise DomainError(f"q must lie in (-1,0) u (0,1), got {self.q}")
-
-    @property
-    def case(self) -> str:
-        return "A" if self.q > 0 else "B"
-
-
 def require_q(q: float, q_max: float = Q_MAX) -> None:
     if math.isnan(q) or abs(q) >= 1.0:
         raise DomainError(f"q must satisfy |q| < 1, got {q}")
@@ -78,25 +65,6 @@ def require_x(x) -> complex:
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise DomainError(f"x must be finite, got {x}")
     return x
-
-
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One term of the series: index j, its exact integer exponent, and the
-    coefficient q^exponent."""
-
-    j: int
-    exponent: int
-    coefficient: float
-
-    def __post_init__(self):
-        if self.j < 0 or self.exponent != tri(self.j):
-            raise DomainError(f"exponent must equal j(j+1)/2 exactly for j={self.j}")
-
-    @classmethod
-    def at(cls, j: int, q: float) -> "SeriesTerm":
-        e = tri(j)
-        return cls(j=j, exponent=e, coefficient=q**e)
 
 
 @dataclass(frozen=True)
@@ -282,12 +250,6 @@ def deriv_coeff(j: int, m: int, nq: int) -> int:
     return c * falling(tri(j), nq)
 
 
-@lru_cache(maxsize=200_000)
-def deriv_coeff_dd(j: int, m: int, nq: int):
-    """The same coefficient as an exact double-double pair."""
-    return dd_from_int(deriv_coeff(j, m, nq))
-
-
 def derivative_truncation(q_abs: float, x_abs: float, m: int, nq: int, tol: float):
     """Truncation order for the (d/dx)^m (d/dq)^nq series.
 
@@ -463,88 +425,110 @@ def theta_sum_real(qh, ql, xh, xl, n):
     return (sh, sl, 0.0, 0.0), abs_sum
 
 
-def theta_deriv_sum(qh, ql, x4, n, m, nq):
-    """Term-wise differentiated series, m times in x and nq times in q.
+def _dyadic(*fs):
+    """The floats fs as integers on one exponent: f_i = m_i 2^e exactly."""
+    parts = [math.frexp(f) for f in fs]
+    e = min((pe for pm, pe in parts if pm), default=0) - 53
+    return [int(pm * 9007199254740992.0) << (pe - 53 - e) if pm else 0 for pm, pe in parts], e
 
-    Coefficients are exact Python ints converted losslessly to DD; the power
-    part q^{e_j - nq} x^{j - m} advances by * q^{j+1} * x per step.  Returns
-    (value4, abs_sum) like :func:`theta_sum`, with the same inlined DD
-    arithmetic.
+
+def _to_float(m: int, e: int) -> float:
+    """m 2^e rounded to the nearest binary64 number; inf past binary64."""
+    try:
+        return m / (1 << -e) if e < 0 else float(m << e)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
+
+
+def theta_deriv_sum(qh, ql, x4, n, m, nq, tol):
+    """Term-wise differentiated series, m times in x and nq times in q:
+    sum_{j=j0}^{n} c_j q^{e_j - nq} x^{j - m}, with c_j = deriv_coeff(j, m, nq)
+    and j0 the first index where c_j != 0, summed in Python integers.
+
+    Returns (value, bound): the exact sum of the computed terms rounded to
+    binary64 (inf past it; complex unless the imaginary part is zero), and a
+    bound on its distance from the partial sum, value's own rounding (at most
+    eps |value|) aside.
+
+    q = qh + ql and the limbs of x4 are dyadic, so they become integer
+    mantissas on one exponent with no rounding.  The power part advances by
+    p_{j+1} = p_j q^{j+1} x; at each step p_j is truncated to `bits` + 1 bits
+    (its real and imaginary parts by one shift) and q^j to `bits` bits, each
+    a relative change below u = 2^{1-bits}.  The terms c_j p_j are added
+    exactly.
+
+    Bound.  The exact q^{j0} and p_{j0} are truncated once, so p_j carries at
+    most 1 + sum_{i=j0+1}^{j} (1 + i - j0) <= K = tri(n) + 2n + 1 truncations.
+    Term j is off by a factor within (1 + u)^K - 1 <= K u (1 + K u) of its
+    exact value, and K u <= 2^-107 since bits >= 110 + 2 log2(n + 1).  The
+    sum is therefore off by at most 1.01 K u sum_j |t_j|, the 1% covering the
+    second order, the step from exact to computed |t_j| and the bound's own
+    float rounding.  Every computed |t_j| is below 2^top, so the bound is
+    1.01 K u (n - j0 + 1) 2^top, plus one subnormal unit against underflow.
+
+    bits starts at the double-double equivalent 110 + 2 log2(n + 1), and the
+    sum is redone with more bits while the bound exceeds
+    max(tol, eps (|value| - bound)) / 4: cancellation costs bits, not err.
     """
     j0 = m
     while deriv_coeff(j0, m, nq) == 0:
         j0 += 1
-    xrh, xrl, xih, xil = x4
-    ph, pl = dd_pow_int(qh, ql, tri(j0) - nq)
-    pw = (ph, pl, 0.0, 0.0)
+    (qa, qb), qe = _dyadic(qh, ql)
+    (a, b, c, d), xe = _dyadic(*x4)
+    q, xr, xi = qa + qb, a + b, c + d
+    # the exact power part at j0, (p0r + i p0i) 2^pe0
+    p0r, p0i, pe0 = q ** (tri(j0) - nq), 0, qe * (tri(j0) - nq) + xe * (j0 - m)
     for _ in range(j0 - m):
-        pw = cdd_mul(pw, x4)
-    prh, prl, pih, pil = pw
-    qph, qpl = dd_pow_int(qh, ql, j0)
-    srh, srl, sih, sil = 0.0, 0.0, 0.0, 0.0
-    abs_sum = 0.0
-    for j in range(j0, n + 1):
-        ch, cl = deriv_coeff_dd(j, m, nq)
-        # t = pw * c (complex DD times real DD), s += t
-        p = prh * ch
-        c = _SPL * prh; ah = c - (c - prh); al = prh - ah
-        c = _SPL * ch; bh = c - (c - ch); bl = ch - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + (prh * cl + prl * ch)
-        trh = p + e; trl = e - (trh - p)
-        p = pih * ch
-        c = _SPL * pih; ah2 = c - (c - pih); al2 = pih - ah2
-        e = ((ah2 * bh - p) + ah2 * bl + al2 * bh) + al2 * bl + (pih * cl + pil * ch)
-        tih = p + e; til = e - (tih - p)
-        s = srh + trh; bb = s - srh
-        e = (srh - (s - bb)) + (trh - bb) + (srl + trl)
-        srh = s + e; srl = e - (srh - s)
-        s = sih + tih; bb = s - sih
-        e = (sih - (s - bb)) + (tih - bb) + (sil + til)
-        sih = s + e; sil = e - (sih - s)
-        a = abs(trh) + abs(tih)
-        abs_sum += a
-        # qp *= q
-        p = qph * qh
-        c = _SPL * qph; ah = c - (c - qph); al = qph - ah
-        c = _SPL * qh; bh = c - (c - qh); bl = qh - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + (qph * ql + qpl * qh)
-        qph = p + e; qpl = e - (qph - p)
-        # pw *= qp
-        p = prh * qph
-        c = _SPL * prh; ah = c - (c - prh); al = prh - ah
-        c = _SPL * qph; bh = c - (c - qph); bl = qph - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + (prh * qpl + prl * qph)
-        urh = p + e; url = e - (urh - p)
-        p = pih * qph
-        c = _SPL * pih; ah2 = c - (c - pih); al2 = pih - ah2
-        e = ((ah2 * bh - p) + ah2 * bl + al2 * bh) + al2 * bl + (pih * qpl + pil * qph)
-        uih = p + e; uil = e - (uih - p)
-        # pw *= x (full complex DD product)
-        p = urh * xrh
-        c = _SPL * urh; ah = c - (c - urh); al = urh - ah
-        c = _SPL * xrh; bh = c - (c - xrh); bl = xrh - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + (urh * xrl + url * xrh)
-        ach = p + e; acl = e - (ach - p)
-        p = uih * xih
-        c = _SPL * uih; ah2 = c - (c - uih); al2 = uih - ah2
-        c = _SPL * xih; bh2 = c - (c - xih); bl2 = xih - bh2
-        e = ((ah2 * bh2 - p) + ah2 * bl2 + al2 * bh2) + al2 * bl2 + (uih * xil + uil * xih)
-        bdh = p + e; bdl = e - (bdh - p)
-        p = urh * xih
-        e = ((ah * bh2 - p) + ah * bl2 + al * bh2) + al * bl2 + (urh * xil + url * xih)
-        adh = p + e; adl = e - (adh - p)
-        p = uih * xrh
-        e = ((ah2 * bh - p) + ah2 * bl + al2 * bh) + al2 * bl + (uih * xrl + uil * xrh)
-        bch = p + e; bcl = e - (bch - p)
-        s = ach - bdh; bb = s - ach
-        e = (ach - (s - bb)) + (-bdh - bb) + (acl - bdl)
-        prh = s + e; prl = e - (prh - s)
-        s = adh + bch; bb = s - adh
-        e = (adh - (s - bb)) + (bch - bb) + (adl + bcl)
-        pih = s + e; pil = e - (pih - s)
-        if a == 0.0 and abs(prh) + abs(pih) == 0.0:
-            break
-    return (srh, srl, sih, sil), abs_sum
+        p0r, p0i = p0r * xr - p0i * xi, p0r * xi + p0i * xr
+    if not (p0r or p0i):
+        return 0.0, 0.0
+    k = (tri(n) + 2 * n + 1) * (n - j0 + 1)
+    bits = 110 + 2 * n.bit_length()
+    while True:
+        qp, qpe = q**j0, qe * j0
+        pr, pi, pe = p0r, p0i, pe0
+        sr = si = 0
+        lsb = pe
+        top = -math.inf
+        for j in range(j0, n + 1):
+            if j > j0:
+                qp *= q
+                qpe += qe
+                if xi:
+                    pr, pi = pr * qp, pi * qp
+                    pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+                else:
+                    pr *= qp * xr
+                pe += qpe + xe
+            lp = max(pr.bit_length(), pi.bit_length())
+            sh = lp - bits - 1
+            if sh > 0:
+                pr >>= sh
+                pi >>= sh
+                pe += sh
+                lp = bits + 1
+            sh = qp.bit_length() - bits
+            if sh > 0:
+                qp >>= sh
+                qpe += sh
+            cj = deriv_coeff(j, m, nq)
+            if pe >= lsb:
+                sr += cj * pr << (pe - lsb)
+                si += cj * pi << (pe - lsb)
+            else:
+                sr = (sr << (lsb - pe)) + cj * pr
+                si = (si << (lsb - pe)) + cj * pi
+                lsb = pe
+            top = max(top, cj.bit_length() + lp + pe + 1)  # |t_j| < 2^top
+        v = _to_float(sr, lsb)
+        if si:
+            v = complex(v, _to_float(si, lsb))
+        e = top + 1 - bits
+        bound = math.ldexp(1.01 * k, e) + _TINY if e < 960 else math.inf
+        target = 0.25 * max(tol, EPS * (math.hypot(v.real, v.imag) - bound))
+        if bound <= max(target, 2 * _TINY):
+            return v, bound
+        bits = max(bits + 8, top + 3 + math.ceil(math.log2(1.01 * k) - math.log2(target)))
 
 
 def theta_sum_dd(q2, x4, n):
@@ -558,8 +542,15 @@ def cv_from_sum(s4, n, tail, abs_sum) -> CertifiedValue:
     """The certified value of an n-term DD sum s4 with the given tail bound
     and absolute term sum; RangeOverflowError once it leaves binary64."""
     v = s4[0] if s4[2] == 0.0 and s4[3] == 0.0 else complex(s4[0], s4[2])
+    return cv_within(v, tail, rounding_bound(n, abs_sum * 1.000001, 0.0))
+
+
+def cv_within(v, tail, bound) -> CertifiedValue:
+    """v with err tail + bound + 2 eps |v|: the truncation tail, the sum's
+    rounding bound and v's own rounding; RangeOverflowError once it leaves
+    binary64."""
     try:
-        err = tail + rounding_bound(n, abs_sum * 1.000001, abs(v))
+        err = tail + (bound + 2.0 * EPS * abs(v))
     except OverflowError:  # |v| itself overflows
         err = math.inf
     if not err < math.inf:

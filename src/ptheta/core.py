@@ -28,6 +28,7 @@ from .certified import (
     CertifiedValue,
     Q_MAX,
     cv_from_sum,
+    cv_within,
     derivative_truncation,
     direct_route_order,
     require_q,
@@ -74,11 +75,9 @@ def _theta_eval_dd(q2, x4, tol) -> CertifiedValue:
 
 
 def _x_sensitivity_bound(q, xa) -> float:
-    """Crude upper bound on |x * dtheta/dx| near (q, x)."""
-    try:
-        n, _ = truncation_order(abs(q), xa, 1e-6)
-    except Exception:
-        return 0.0
+    """Crude upper bound on |x * dtheta/dx| near (q, x); raises
+    InfeasibleToleranceError where the order solve passes the cap."""
+    n, _ = truncation_order(abs(q), xa, 1e-6)
     lm = series_log_max_term(abs(q), xa)
     if lm > 600.0:
         return 1e300
@@ -141,10 +140,9 @@ def decompose(q: float, x: complex, tol: float = DEFAULT_TOL, q_max: float = Q_M
 
 def _deriv_cv(q2, x4, m, nq, tol) -> CertifiedValue:
     qh = q2[0]
-    xa = math.hypot(x4[0], x4[2])
-    n, tail = derivative_truncation(abs(qh), xa, m, nq, tol)
-    s4, abs_sum = theta_deriv_sum(qh, q2[1], x4, n, m, nq)
-    return cv_from_sum(s4, n, tail, abs_sum)
+    n, tail = derivative_truncation(abs(qh), math.hypot(x4[0], x4[2]), m, nq, tol)
+    v, bound = theta_deriv_sum(qh, q2[1], x4, n, m, nq, tol)
+    return cv_within(v, tail, bound)
 
 
 def theta_derivative(

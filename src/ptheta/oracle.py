@@ -2,18 +2,22 @@
 
 These are the independent oracle for tests and derived constants: plain
 direct summation of the defining series, returned only once it is certified
-to `dps` significant digits.  Each sum runs first at a working precision
-sized from its largest term, then again with the precision set to dps plus
-the digits the sum lost to cancellation (log10 of largest term / |sum|) plus
-a margin; the value is returned once two successive precisions agree to
-`dps` significant digits, and a sum that never settles raises OracleError.
+to `dps` significant digits.
 
 The one-sided series is summed in Python integers: each term comes from the
 last by t_j = t_{j-1} q^j x with a mantissa rounded to the working
-precision, and the terms are added exactly.  Theta* and G are the same
-series at y = 1/x (G(q, x) = y theta(q, y)); the derivative series is summed
-in mpmath.  Results are mpmath numbers.  The certified double-double engines
-never call into this module.
+precision, and the terms are added exactly, with a proven bound on the
+rounding and the omitted tail.  Theta* and G are the same series at y = 1/x
+(G(q, x) = y theta(q, y)).  A sum is returned from the first pass whose
+bound shows `dps` digits; the first pass runs at a working precision sized
+from the largest term, each further one adds the digits the last lost to
+cancellation (log10 of largest term / |sum|), and a sum that never certifies
+raises OracleError.
+
+The derivative series is summed in mpmath and certified differently: it runs
+at two precisions and is returned once they agree to `dps` significant
+digits.  Results are mpmath numbers.  The certified engines never call into
+this module, and this module does not call their series kernels.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ _BITS_PER_DIGIT = math.log2(10.0)
 
 
 class OracleError(ArithmeticError):
-    """A reference sum did not settle to the requested digits."""
+    """A reference sum did not reach the requested digits."""
 
 
 def _headroom(q, x, extra_digits: int) -> int:
@@ -83,9 +87,20 @@ def _parts(v):
 
 
 def _theta_int(q, x, bits: int):
-    """sum_{j>=0} q^{j(j+1)/2} x^j for real q, 0 < |q| < 1: each term to
-    `bits` bits, the terms added exactly.  Returns (value, log2 bound on the
-    largest |term|) with value = (re + i im) 2^lsb as a triple."""
+    """sum_{j>=0} q^{j(j+1)/2} x^j for real q, 0 < |q| < 1, in integers.
+    Returns (value, top, bound): value = (re + i im) 2^lsb as a triple,
+    every term below 2^top, and bound (an mpf) on |value - sum|.
+
+    q^j is truncated to `bits` bits and each term to bits + 1 (its parts by
+    one shift), each changing by a relative amount below u = 2^{1-bits}; the
+    terms are added exactly.  Term j carries at most tri(j) + j truncations,
+    j of its own and those of q^1 ... q^j.  Summing to n, each term is off by
+    a factor within K u (1 + K u), K = tri(n) + 2n + 1 and K u < 2^-40 for
+    every n the loop reaches, so the rounding is at most
+    1.01 K u (n + 1) 2^top.  The sum stops past the
+    peak (ratio q^{j+1} x < 1/2) at a term below 2^mag, and the rest is then
+    below 2^{mag+1}.
+    """
     qm, _, qe = _parts(q)
     xr, xi, xe = _parts(x)
     x_top = max(xr.bit_length(), xi.bit_length()) + xe + 1  # |x| < 2^x_top
@@ -93,7 +108,7 @@ def _theta_int(q, x, bits: int):
     pm, pe = 1, 0  # q^j = pm 2^pe
     sr, si, lsb = 1, 0, 0  # the sum
     top = 1
-    for _ in range(1, 10_000_000):
+    for n in range(1, 10_000_000):
         pm *= qm
         pe += qe
         sh = pm.bit_length() - bits
@@ -107,11 +122,11 @@ def _theta_int(q, x, bits: int):
             tr, ti = tr * pm * xr, ti * pm * xr
         te += pe + xe
         bl = max(tr.bit_length(), ti.bit_length())
-        if bl > bits:
-            tr >>= bl - bits
-            ti >>= bl - bits
-            te += bl - bits
-            bl = bits
+        if bl > bits + 1:
+            tr >>= bl - bits - 1
+            ti >>= bl - bits - 1
+            te += bl - bits - 1
+            bl = bits + 1
         if te >= lsb:
             sr += tr << (te - lsb)
             si += ti << (te - lsb)
@@ -125,7 +140,9 @@ def _theta_int(q, x, bits: int):
         if pm.bit_length() + pe + x_top <= -1:
             s_log = max(sr.bit_length(), si.bit_length()) - 1 + lsb
             if mag < max(0, s_log) - bits - 8:
-                return (sr, si, lsb), top
+                k = (tri(n) + 2 * n + 1) * (n + 1)
+                bound = mp.ldexp(1, mag + 1) + mp.ldexp(mp.mpf(k) * 1.01, top + 1 - bits)
+                return (sr, si, lsb), top, bound
     raise OracleError("the reference series did not converge")
 
 
@@ -135,29 +152,45 @@ def _to_mp(v):
 
 
 def _theta_at(q, x, work: int, inverse: bool):
-    """(theta(q, x), largest |term|) at `work` digits; with inverse=True
-    (y theta(q, y), its largest term) for y = 1/x, which is G(q, x)."""
+    """(theta(q, x), largest |term|, error bound) at `work` digits; with
+    inverse=True the same for y theta(q, y), y = 1/x, which is G(q, x)."""
     bits = int(work * _BITS_PER_DIGIT) + 40
     with mp.workprec(bits + 20):
         y = 1 / mp.mpmathify(x) if inverse else x
         if not q or not y:
-            return +y if inverse else mp.mpf(1), mp.mpf(1)
-        value, top = _theta_int(q, y, bits)
-        big = mp.mpf(2) ** top
+            return +y if inverse else mp.mpf(1), mp.mpf(1), mp.mpf(0)
+        value, top, bound = _theta_int(q, y, bits)
+        big = mp.ldexp(1, top)
         if not inverse:
-            return _to_mp(value), big
-        return y * _to_mp(value), abs(y) * big
+            return _to_mp(value), big, bound
+        return y * _to_mp(value), abs(y) * big, abs(y) * bound
+
+
+def _certified(sum_at, dps: int, work: int):
+    """The sum sum_at(w) -> (sum, largest |term|, error bound) at working
+    precision w digits, from the first pass whose bound is at most
+    10^-dps |sum| / 4.  The factor 4 leaves room for the roundings the bound
+    leaves out: mpmath's, below 2^-20 of the bound, and the final one to
+    w >= dps + 15 digits.  Each further pass adds the digits the last one
+    lost to cancellation."""
+    for _ in range(_PASSES):
+        s, big, bound = sum_at(work)
+        if 4 * bound <= mp.mpf(10) ** -dps * abs(s):
+            return s
+        lost = max(0, math.ceil(float(mp.log10(big / abs(s))))) if s else work
+        work = max(work + 10, dps + _MARGIN + lost)
+    raise OracleError(f"the reference sum did not certify {dps} digits")
 
 
 def theta_ref(q, x, dps: int = 50):
     """Reference value of the series at (q, x); mpf or mpc."""
 
     def sum_at(work):
-        value, big = _theta_at(q, x, work, False)
+        value, big, bound = _theta_at(q, x, work, False)
         with mp.workdps(work):
-            return +value, big
+            return +value, big, bound
 
-    return _settled(sum_at, dps, _headroom(q, x, dps))
+    return _certified(sum_at, dps, _headroom(q, x, dps))
 
 
 def theta_deriv_ref(q, x, m: int = 0, nq: int = 0, dps: int = 50):
@@ -188,23 +221,23 @@ def theta_star_ref(q, x, dps: int = 50):
     """Reference two-sided sum sum_{j in Z} q^{j(j+1)/2} x^j = theta + G."""
 
     def sum_at(work):
-        t, t_big = _theta_at(q, x, work, False)
-        g, g_big = _theta_at(q, x, work, True)
+        t, t_big, t_bound = _theta_at(q, x, work, False)
+        g, g_big, g_bound = _theta_at(q, x, work, True)
         with mp.workdps(work):
-            return t + g, max(t_big, g_big)
+            return t + g, max(t_big, g_big), t_bound + g_bound
 
-    return _settled(sum_at, dps, _headroom(q, x, dps) + 10)
+    return _certified(sum_at, dps, _headroom(q, x, dps) + 10)
 
 
 def g_ref(q, x, dps: int = 50):
     """Reference negative-index tail sum_{m>=1} q^{m(m-1)/2} x^{-m}."""
 
     def sum_at(work):
-        g, big = _theta_at(q, x, work, True)
+        g, big, bound = _theta_at(q, x, work, True)
         with mp.workdps(work):
-            return +g, big
+            return +g, big, bound
 
-    return _settled(sum_at, dps, dps + 25)
+    return _certified(sum_at, dps, dps + 25)
 
 
 def real_zero_ref(q, lo: float, hi: float, dps: int = 30):

@@ -21,12 +21,19 @@ def run_workload(workload, trace):
     return json.loads(r.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("workload,trace", [("eval-direct", 1), ("eval-split", 0)])
+@pytest.mark.parametrize("workload,trace", [("eval-direct", 1), ("eval-split", 0),
+                                            ("eval-split", 1)])
 def test_workload_correct_without_failures(workload, trace):
     result = run_workload(workload, trace)
     assert result["correct"] is True
     assert result["attempted"] > 0
     assert result["failed"] == 0
+    metrics = result["metrics"]
     if workload == "eval-direct":
         # one order solve per direct evaluation, value or derivative
-        assert result["metrics"]["certified.order_per_eval"]["value"] <= 1.0
+        assert metrics["certified.order_per_eval"]["value"] <= 1.0
+        # the traced kernel names still exist and are still called
+        assert metrics["certified.deriv_ns_per_term"]["value"] > 0
+    if trace and workload == "eval-split":
+        # the ddarith names counted on tripleprod still exist and are called
+        assert metrics["ddarith.calls_per_split"]["value"] > 0

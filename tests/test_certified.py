@@ -9,15 +9,13 @@ import pytest
 from ptheta.certified import (
     LN2,
     CertifiedValue,
-    Parameter,
-    SeriesTerm,
     deriv_coeff,
     derivative_truncation,
     n_cap,
     tri,
     truncation_order,
 )
-from ptheta.core import theta_derivative
+from ptheta.core import pde_residual, theta_derivative
 from ptheta.errors import DomainError, IndeterminateSignError, InfeasibleToleranceError
 from ptheta.oracle import theta_deriv_ref
 
@@ -196,6 +194,33 @@ class TestDerivativeTruncation:
             assert gap <= cv.err, (q, x, tol, cv)
 
 
+class TestDerivativesNearOne:
+    """Points near |q| = 1 where the terms exceed the derivative by many
+    orders of magnitude (or binary64 itself): the integer kernel pays for the
+    cancellation in bits, so each err stays at 1e-12 relative."""
+
+    @pytest.mark.parametrize("q,x,m,nq", [
+        (0.95, -30.0, 2, 0),
+        (0.99, -6.0, 0, 1),
+        (0.99, -50.0, 1, 0),
+        (0.92638, -20.89, 2, 0),
+        (0.92638, -20.89, 0, 1),
+    ])
+    def test_encloses_reference(self, q, x, m, nq):
+        cv = theta_derivative(q, x, m, nq)
+        ref = theta_deriv_ref(q, x, m, nq, dps=30)
+        assert abs(mp.mpf(cv.value) - ref) <= cv.err
+        assert cv.err <= 1e-12 * max(1.0, abs(cv.value))
+
+    def test_pde_residual_certifies_zero(self):
+        q, x = 0.99, -50.0
+        r = pde_residual(q, x)
+        scale = (abs(2 * q * theta_derivative(q, x, 0, 1).value)
+                 + abs(2 * x * theta_derivative(q, x, 1, 0).value)
+                 + abs(x * x * theta_derivative(q, x, 2, 0).value))
+        assert abs(r.value) <= r.err <= 1e-12 * scale
+
+
 class TestCertifiedValue:
     def test_sign_decisions(self):
         assert CertifiedValue(2.0, 0.5).sign() == 1
@@ -223,25 +248,3 @@ class TestCertifiedValue:
             CertifiedValue(1.0, -1e-3)
         with pytest.raises(ValueError):
             CertifiedValue(1.0, math.inf)
-
-
-class TestParameter:
-    def test_cases(self):
-        assert Parameter(0.5).case == "A"
-        assert Parameter(-0.5).case == "B"
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -1.0, 1.5, float("nan")])
-    def test_rejects_out_of_domain(self, bad):
-        with pytest.raises(DomainError):
-            Parameter(bad)
-
-
-class TestSeriesTerm:
-    def test_exact_exponent(self):
-        t = SeriesTerm.at(2000, 0.99)
-        assert t.exponent == 2001000
-        assert t.coefficient == 0.99**2001000
-
-    def test_rejects_drifted_exponent(self):
-        with pytest.raises(DomainError):
-            SeriesTerm(j=3, exponent=7, coefficient=0.5)

@@ -1,7 +1,10 @@
 """Property-based invariants over random parameter/argument draws."""
 
+import cmath
 import math
 
+import mpmath as mp
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptheta.certified import truncation_order, tri
@@ -9,8 +12,10 @@ from ptheta.core import (
     decompose,
     functional_equation_residual,
     theta_certified,
+    theta_derivative,
 )
-from ptheta.oracle import theta_ref
+from ptheta.errors import RangeOverflowError
+from ptheta.oracle import theta_deriv_ref, theta_ref
 from ptheta.tripleprod import theta_via_triple_product
 
 qs = st.one_of(
@@ -18,6 +23,9 @@ qs = st.one_of(
     st.floats(min_value=0.02, max_value=0.95),
 )
 xs_real = st.floats(min_value=-20.0, max_value=20.0)
+SUPPORTED_ORDERS = [(m, nq) for m in range(5) for nq in range(3) if m + nq > 0]
+#: examples per (m, nq) pair: about 20 s for all 14 pairs
+DERIV_EXAMPLES = 130
 xs_cplx = st.builds(complex,
                     st.floats(min_value=-15.0, max_value=15.0),
                     st.floats(min_value=-15.0, max_value=15.0))
@@ -92,3 +100,20 @@ def test_certified_interval_contains_reference(q, x):
 def test_exponent_exactness(j):
     assert 2 * tri(j) == j * (j + 1)
     assert tri(j + 1) - tri(j) == j + 1
+
+
+@pytest.mark.parametrize("m,nq", SUPPORTED_ORDERS)
+@settings(max_examples=DERIV_EXAMPLES, deadline=None)
+@given(q=st.one_of(st.floats(min_value=-0.99, max_value=-0.02),
+                   st.floats(min_value=0.02, max_value=0.99)),
+       x=st.one_of(st.floats(min_value=-50.0, max_value=50.0),
+                   st.builds(cmath.rect, st.floats(min_value=0.0, max_value=50.0),
+                             st.floats(min_value=-math.pi, max_value=math.pi))))
+def test_derivative_encloses_reference(m, nq, q, x):
+    ref = theta_deriv_ref(q, x, m, nq, dps=20)
+    try:
+        cv = theta_derivative(q, x, m, nq)
+    except RangeOverflowError:
+        assert abs(ref) > 1e307
+        return
+    assert abs(mp.mpc(complex(cv.value)) - ref) <= cv.err

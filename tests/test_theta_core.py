@@ -19,7 +19,13 @@ from ptheta.core import (
     theta_certified,
     theta_derivative,
 )
-from ptheta.errors import ContourError, DomainError, PThetaError, RangeOverflowError
+from ptheta.errors import (
+    ContourError,
+    DomainError,
+    InfeasibleToleranceError,
+    PThetaError,
+    RangeOverflowError,
+)
 from ptheta.oracle import theta_deriv_ref, theta_ref
 from ptheta.tripleprod import theta_via_triple_product
 
@@ -272,6 +278,13 @@ class TestDiagonals:
             assert cv.definitely_greater(0.0)
             rhs = phi(q, 3.0).scaled(q**2)
             assert abs(cv.real - rhs.real) <= cv.err + rhs.err
+
+    def test_diagonal_fails_closed_under_low_cap(self, monkeypatch):
+        # -0.9^-40.3 is rounded, and bounding what that costs needs an order
+        # past the cap; dropping that term would miss the value by 88.5
+        monkeypatch.setenv("THETA_MAX_N", "40")
+        with pytest.raises(InfeasibleToleranceError):
+            theta_at_diagonal(0.9, 40.3)
 
 
 class TestLimitComparison:
