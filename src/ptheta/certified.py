@@ -1,13 +1,15 @@
 """Certified series machinery for the partial theta function.
 
 The one-sided series sum_{j>=0} q^{j(j+1)/2} x^j is summed in double-double
-(DD) arithmetic with exact integer exponents, and the term-wise derivatives
-in Python integers (:func:`theta_deriv_sum`).  Every evaluation returns a
-value together with a rigorous absolute error bound made of three parts:
+(DD) arithmetic with exact integer exponents at real x
+(:func:`theta_sum_real`).  At complex x, and for the term-wise derivatives
+everywhere, one kernel sums it in Python integers (:func:`theta_sum`,
+:func:`theta_deriv_sum`).  Every evaluation returns a value together with a
+rigorous absolute error bound made of three parts:
 
 * the geometric tail bound for the omitted terms,
 * a rounding bound: eps^2 times sum_j |t_j| for the DD sums, and the
-  integer kernel's proven bound for the derivatives,
+  integer kernel's proven bound otherwise,
 * a representation term ~ eps * |value| for rounding the sum to binary64.
 
 Sign decisions downstream are permitted only when |value| > err.
@@ -152,14 +154,14 @@ class CertifiedValue:
         return max(0.0, abs(self.value) - self.err)
 
 
-def rounding_bound(n_terms: int, abs_sum: float, value_abs: float) -> float:
+def rounding_bound(n_terms: int, abs_sum: float) -> float:
     """Bound on accumulated DD rounding for an n-term compensated sum.
 
     The eps^2 constant is generous: each term costs a handful of DD
     multiplications (relative error ~ 4 eps^2 each) plus one DD addition
     whose absolute error is O(eps^2) times the running absolute sum.
     """
-    return 64.0 * (n_terms + 2) * EPS2 * abs_sum + 2.0 * EPS * value_abs
+    return 64.0 * (n_terms + 2) * EPS2 * abs_sum
 
 
 # ---------------------------------------------------------------------------
@@ -318,76 +320,12 @@ def derivative_truncation(q_abs: float, x_abs: float, m: int, nq: int, tol: floa
 # Series engines (scalar).  q is a real DD pair, x a complex DD quadruple.
 
 
-def theta_sum(qh, ql, x4, n):
-    """Partial sum of the series to order n in complex double-double.
-
-    Returns (value4, abs_sum): the DD value and an upper bound on sum |t_j|.
-    The DD arithmetic is inlined: this loop dominates the package's runtime.
-    """
-    xrh, xrl, xih, xil = x4
-    srh, srl, sih, sil = 1.0, 0.0, 0.0, 0.0
-    trh, trl, tih, til = 1.0, 0.0, 0.0, 0.0
-    qph, qpl = 1.0, 0.0
-    abs_sum = 1.0
-    for _ in range(n):
-        # qp *= q
-        p = qph * qh
-        c = _SPL * qph; ah = c - (c - qph); al = qph - ah
-        c = _SPL * qh; bh = c - (c - qh); bl = qh - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + (qph * ql + qpl * qh)
-        qph = p + e; qpl = e - (qph - p)
-        # t *= qp (real DD times complex DD, both components)
-        p = trh * qph
-        c = _SPL * trh; ah = c - (c - trh); al = trh - ah
-        c = _SPL * qph; bh = c - (c - qph); bl = qph - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + (trh * qpl + trl * qph)
-        urh = p + e; url = e - (urh - p)
-        p = tih * qph
-        c = _SPL * tih; ah2 = c - (c - tih); al2 = tih - ah2
-        e = ((ah2 * bh - p) + ah2 * bl + al2 * bh) + al2 * bl + (tih * qpl + til * qph)
-        uih = p + e; uil = e - (uih - p)
-        # t = u * x (full complex DD product)
-        p = urh * xrh
-        c = _SPL * urh; ah = c - (c - urh); al = urh - ah
-        c = _SPL * xrh; bh = c - (c - xrh); bl = xrh - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + (urh * xrl + url * xrh)
-        ach = p + e; acl = e - (ach - p)
-        p = uih * xih
-        c = _SPL * uih; ah2 = c - (c - uih); al2 = uih - ah2
-        c = _SPL * xih; bh2 = c - (c - xih); bl2 = xih - bh2
-        e = ((ah2 * bh2 - p) + ah2 * bl2 + al2 * bh2) + al2 * bl2 + (uih * xil + uil * xih)
-        bdh = p + e; bdl = e - (bdh - p)
-        p = urh * xih
-        e = ((ah * bh2 - p) + ah * bl2 + al * bh2) + al * bl2 + (urh * xil + url * xih)
-        adh = p + e; adl = e - (adh - p)
-        p = uih * xrh
-        e = ((ah2 * bh - p) + ah2 * bl + al2 * bh) + al2 * bl + (uih * xrl + uil * xrh)
-        bch = p + e; bcl = e - (bch - p)
-        # re = ac - bd, im = ad + bc
-        s = ach - bdh; bb = s - ach
-        e = (ach - (s - bb)) + (-bdh - bb) + (acl - bdl)
-        trh = s + e; trl = e - (trh - s)
-        s = adh + bch; bb = s - adh
-        e = (adh - (s - bb)) + (bch - bb) + (adl + bcl)
-        tih = s + e; til = e - (tih - s)
-        # s += t
-        s = srh + trh; bb = s - srh
-        e = (srh - (s - bb)) + (trh - bb) + (srl + trl)
-        srh = s + e; srl = e - (srh - s)
-        s = sih + tih; bb = s - sih
-        e = (sih - (s - bb)) + (tih - bb) + (sil + til)
-        sih = s + e; sil = e - (sih - s)
-        a = abs(trh) + abs(tih)
-        if a == 0.0:
-            break
-        abs_sum += a
-    return (srh, srl, sih, sil), abs_sum
-
-
 def theta_sum_real(qh, ql, xh, xl, n):
-    """Real-argument fast path of :func:`theta_sum` (inlined DD).
+    """Partial sum of the series to order n at real x = xh + xl, in inlined
+    double-double (DD).
 
-    Returns (value4, abs_sum) with a zero imaginary part in value4.
+    Returns (value4, abs_sum): the DD value, with a zero imaginary part, and
+    an upper bound on sum |t_j|.
     """
     sh, sl = 1.0, 0.0
     th, tl = 1.0, 0.0
@@ -427,9 +365,9 @@ def theta_sum_real(qh, ql, xh, xl, n):
 
 def _dyadic(*fs):
     """The floats fs as integers on one exponent: f_i = m_i 2^e exactly."""
-    parts = [math.frexp(f) for f in fs]
-    e = min((pe for pm, pe in parts if pm), default=0) - 53
-    return [int(pm * 9007199254740992.0) << (pe - 53 - e) if pm else 0 for pm, pe in parts], e
+    ratios = [f.as_integer_ratio() for f in fs]  # denominators are powers of 2
+    k = max(d for _, d in ratios).bit_length()
+    return [m << (k - d.bit_length()) for m, d in ratios], 1 - k
 
 
 def _to_float(m: int, e: int) -> float:
@@ -440,15 +378,28 @@ def _to_float(m: int, e: int) -> float:
         return math.inf if m > 0 else -math.inf
 
 
-def theta_deriv_sum(qh, ql, x4, n, m, nq, tol):
-    """Term-wise differentiated series, m times in x and nq times in q:
-    sum_{j=j0}^{n} c_j q^{e_j - nq} x^{j - m}, with c_j = deriv_coeff(j, m, nq)
-    and j0 the first index where c_j != 0, summed in Python integers.
+def _to_dd(m: int, e: int):
+    """m 2^e as a DD pair: hi the nearest binary64 number, lo the one nearest
+    to the exact rest m 2^e - hi."""
+    hi = _to_float(m, e)
+    if not m or math.isinf(hi):
+        return hi, 0.0
+    h, d = hi.as_integer_ratio()
+    a = 1 - d.bit_length()  # hi = h 2^a
+    if e >= a:
+        return hi, _to_float((m << (e - a)) - h, a)
+    return hi, _to_float(m - (h << (a - e)), e)
 
-    Returns (value, bound): the exact sum of the computed terms rounded to
-    binary64 (inf past it; complex unless the imaginary part is zero), and a
-    bound on its distance from the partial sum, value's own rounding (at most
-    eps |value|) aside.
+
+def _series_sum(qh, ql, x4, n, m, nq, tol):
+    """The series differentiated m times in x and nq times in q, to order n:
+    sum_{j=j0}^{n} c_j q^{e_j - nq} x^{j - m}, with e_j = tri(j),
+    c_j = deriv_coeff(j, m, nq) and j0 the first index where c_j != 0,
+    summed in Python integers.  m = nq = 0 is the series itself (every
+    c_j = 1, j0 = 0).
+
+    Returns (value4, bound): the exact sum of the computed terms as a complex
+    DD quadruple, and a bound on the distance of value4 from the partial sum.
 
     q = qh + ql and the limbs of x4 are dyadic, so they become integer
     mantissas on one exponent with no rounding.  The power part advances by
@@ -463,44 +414,52 @@ def theta_deriv_sum(qh, ql, x4, n, m, nq, tol):
     exact value, and K u <= 2^-107 since bits >= 110 + 2 log2(n + 1).  The
     sum is therefore off by at most 1.01 K u sum_j |t_j|, the 1% covering the
     second order, the step from exact to computed |t_j| and the bound's own
-    float rounding.  Every computed |t_j| is below 2^top, so the bound is
+    float rounding.  Every computed |t_j| is below 2^top, so this part is
     1.01 K u (n - j0 + 1) 2^top, plus one subnormal unit against underflow.
+    Each part of value4 is hi + lo with hi the exact sum rounded to binary64
+    and lo the rest rounded, so value4 is off by at most 2^-53 |rest| <=
+    eps^2 |hi| plus a subnormal unit per part: bound adds
+    eps^2 (|Re hi| + |Im hi|) + 2 subnormal units.
 
     bits starts at the double-double equivalent 110 + 2 log2(n + 1), and the
     sum is redone with more bits while the bound exceeds
     max(tol, eps (|value| - bound)) / 4: cancellation costs bits, not err.
+    The coefficients are formed once, and for m = nq = 0 not multiplied.
     """
     j0 = m
     while deriv_coeff(j0, m, nq) == 0:
         j0 += 1
-    (qa, qb), qe = _dyadic(qh, ql)
-    (a, b, c, d), xe = _dyadic(*x4)
+    (qa, qb, a, b, c, d), e = _dyadic(qh, ql, *x4)
     q, xr, xi = qa + qb, a + b, c + d
     # the exact power part at j0, (p0r + i p0i) 2^pe0
-    p0r, p0i, pe0 = q ** (tri(j0) - nq), 0, qe * (tri(j0) - nq) + xe * (j0 - m)
+    p0r, p0i, pe0 = q ** (tri(j0) - nq), 0, e * (tri(j0) - nq + j0 - m)
     for _ in range(j0 - m):
         p0r, p0i = p0r * xr - p0i * xi, p0r * xi + p0i * xr
     if not (p0r or p0i):
-        return 0.0, 0.0
+        return (0.0, 0.0, 0.0, 0.0), 0.0
+    cs = [deriv_coeff(j, m, nq) for j in range(j0, n + 1)] if m or nq else None
+    cbits = [c.bit_length() + 1 for c in cs] if cs else None
     k = (tri(n) + 2 * n + 1) * (n - j0 + 1)
     bits = 110 + 2 * n.bit_length()
     while True:
-        qp, qpe = q**j0, qe * j0
+        qp, qpe = q**j0, e * j0
         pr, pi, pe = p0r, p0i, pe0
         sr = si = 0
         lsb = pe
         top = -math.inf
-        for j in range(j0, n + 1):
-            if j > j0:
+        for i in range(n - j0 + 1):
+            if i:
                 qp *= q
-                qpe += qe
+                qpe += e
                 if xi:
                     pr, pi = pr * qp, pi * qp
                     pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
                 else:
                     pr *= qp * xr
-                pe += qpe + xe
-            lp = max(pr.bit_length(), pi.bit_length())
+                pe += qpe + e
+            lp = pr.bit_length()
+            if pi.bit_length() > lp:
+                lp = pi.bit_length()
             sh = lp - bits - 1
             if sh > 0:
                 pr >>= sh
@@ -511,50 +470,64 @@ def theta_deriv_sum(qh, ql, x4, n, m, nq, tol):
             if sh > 0:
                 qp >>= sh
                 qpe += sh
-            cj = deriv_coeff(j, m, nq)
-            if pe >= lsb:
-                sr += cj * pr << (pe - lsb)
-                si += cj * pi << (pe - lsb)
+            if cs:
+                tr, ti, lt = cs[i] * pr, cs[i] * pi, cbits[i] + lp + pe
             else:
-                sr = (sr << (lsb - pe)) + cj * pr
-                si = (si << (lsb - pe)) + cj * pi
+                tr, ti, lt = pr, pi, lp + pe + 1
+            if pe >= lsb:
+                sr += tr << (pe - lsb)
+                si += ti << (pe - lsb)
+            else:
+                sr = (sr << (lsb - pe)) + tr
+                si = (si << (lsb - pe)) + ti
                 lsb = pe
-            top = max(top, cj.bit_length() + lp + pe + 1)  # |t_j| < 2^top
-        v = _to_float(sr, lsb)
-        if si:
-            v = complex(v, _to_float(si, lsb))
-        e = top + 1 - bits
-        bound = math.ldexp(1.01 * k, e) + _TINY if e < 960 else math.inf
-        target = 0.25 * max(tol, EPS * (math.hypot(v.real, v.imag) - bound))
+            if lt > top:
+                top = lt  # |t_j| < 2^top
+        rh, rl = _to_dd(sr, lsb)
+        ih, il = _to_dd(si, lsb)
+        eb = top + 1 - bits
+        bound = math.ldexp(1.01 * k, eb) + _TINY if eb < 960 else math.inf
+        target = 0.25 * max(tol, EPS * (math.hypot(rh, ih) - bound))
         if bound <= max(target, 2 * _TINY):
-            return v, bound
+            return (rh, rl, ih, il), bound + EPS2 * (abs(rh) + abs(ih)) + 2 * _TINY
         bits = max(bits + 8, top + 3 + math.ceil(math.log2(1.01 * k) - math.log2(target)))
 
 
-def theta_sum_dd(q2, x4, n):
-    """:func:`theta_sum_real` for real x4, else :func:`theta_sum`."""
+def theta_sum(qh, ql, x4, n, tol):
+    """Partial sum sum_{j=0}^{n} q^{tri(j)} x^j in Python integers, for complex
+    x4: (value4, bound) from the integer kernel (see :func:`_series_sum`)."""
+    return _series_sum(qh, ql, x4, n, 0, 0, tol)
+
+
+def theta_deriv_sum(qh, ql, x4, n, m, nq, tol):
+    """Term-wise differentiated series, m times in x and nq times in q, to
+    order n in Python integers: (value4, bound) from the integer kernel (see
+    :func:`_series_sum`)."""
+    return _series_sum(qh, ql, x4, n, m, nq, tol)
+
+
+def theta_sum_dd(q2, x4, n, tol):
+    """The partial sum to order n as (value4, bound), bound on the distance
+    of value4 from the partial sum: :func:`theta_sum_real` in DD for real
+    x4, else :func:`theta_sum` in integers, which targets tol."""
     if x4[2] == 0.0 and x4[3] == 0.0:
-        return theta_sum_real(q2[0], q2[1], x4[0], x4[1], n)
-    return theta_sum(q2[0], q2[1], x4, n)
+        s4, abs_sum = theta_sum_real(q2[0], q2[1], x4[0], x4[1], n)
+        return s4, rounding_bound(n, abs_sum * 1.000001)
+    return theta_sum(q2[0], q2[1], x4, n, tol)
 
 
-def cv_from_sum(s4, n, tail, abs_sum) -> CertifiedValue:
-    """The certified value of an n-term DD sum s4 with the given tail bound
-    and absolute term sum; RangeOverflowError once it leaves binary64."""
+def cv_within(s4, bound, tail=0.0) -> CertifiedValue:
+    """The binary64 value v of the complex DD quadruple s4 (real when its
+    imaginary part is zero) with err tail + bound + 2 eps |v|: a truncation
+    tail, the bound on the distance of s4 from the truncated value, and v's
+    own rounding; RangeOverflowError once it leaves binary64."""
     v = s4[0] if s4[2] == 0.0 and s4[3] == 0.0 else complex(s4[0], s4[2])
-    return cv_within(v, tail, rounding_bound(n, abs_sum * 1.000001, 0.0))
-
-
-def cv_within(v, tail, bound) -> CertifiedValue:
-    """v with err tail + bound + 2 eps |v|: the truncation tail, the sum's
-    rounding bound and v's own rounding; RangeOverflowError once it leaves
-    binary64."""
     try:
         err = tail + (bound + 2.0 * EPS * abs(v))
     except OverflowError:  # |v| itself overflows
         err = math.inf
     if not err < math.inf:
-        raise RangeOverflowError(f"series value {v} lies past binary64")
+        raise RangeOverflowError(f"value {v} lies past binary64")
     return CertifiedValue(v, err)
 
 
@@ -594,7 +567,7 @@ def direct_route_order(q_abs: float, x_abs: float, tol: float):
     if log_max > 690.0:
         return math.inf, (n, tail)
     abs_sum_est = math.exp(log_max) * (n + 1)
-    return tail + rounding_bound(n, abs_sum_est, 0.0), (n, tail)
+    return tail + rounding_bound(n, abs_sum_est), (n, tail)
 
 
 def predicted_direct_err(q_abs: float, x_abs: float, tol: float) -> float:

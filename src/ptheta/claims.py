@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certified import DEFAULT_TOL, EPS, Q_MAX, CertifiedValue, theta_sum_real, rounding_bound
+from .certified import DEFAULT_TOL, EPS, Q_MAX, CertifiedValue, cv_within, theta_sum_dd
 from .core import (
     decompose,
     functional_equation_residual,
@@ -185,8 +185,7 @@ def check_theta_at_minus6(n_low: int = 500, n_high: int = 100,
 
 def theta_partial_sum(q: float, x: float, n: int) -> CertifiedValue:
     """Degree-n truncation of the series, certified (rounding error only)."""
-    s4, abs_sum = theta_sum_real(q, 0.0, float(x), 0.0, n)
-    return CertifiedValue(s4[0], rounding_bound(n, abs_sum * 1.000001, abs(s4[0])))
+    return cv_within(*theta_sum_dd((q, 0.0), (float(x), 0.0, 0.0, 0.0), n, DEFAULT_TOL))
 
 
 def check_minus24_and_plus24(n: int = 500, tol: float = DEFAULT_TOL) -> ClaimReport:

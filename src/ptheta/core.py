@@ -2,9 +2,10 @@
 
 Evaluation routes automatically between two certified paths:
 
-* the direct one-sided series in double-double arithmetic, which is accurate
-  whenever the predicted rounding (eps^2 times the absolute term sum) is
-  below tolerance, and
+* the direct one-sided series, summed in double-double arithmetic for real
+  x and in integers for complex x (:mod:`ptheta.certified`), taken whenever
+  the predicted double-double rounding (eps^2 times the absolute term sum)
+  is below tolerance, and
 * the split theta = Theta* - G (see :mod:`ptheta.tripleprod`), which stays
   accurate at large |x| and |q| near 1 where the direct sum cancels
   catastrophically.  Theta* comes from Jacobi's imaginary transformation,
@@ -27,7 +28,6 @@ from .certified import (
     EPS,
     CertifiedValue,
     Q_MAX,
-    cv_from_sum,
     cv_within,
     derivative_truncation,
     direct_route_order,
@@ -36,9 +36,9 @@ from .certified import (
     series_log_max_term,
     theta_deriv_sum,
     theta_sum_dd,
-    truncation_order,
 )
 from .ddarith import (
+    DD_OP,
     cdd_abs1,
     cdd_div_dd,
     cdd_from,
@@ -53,14 +53,6 @@ from .errors import ContourError, DomainError, RangeOverflowError
 from .tripleprod import split_parts_dd
 
 
-def _theta_direct_dd(q2, x4, tol, order=None) -> CertifiedValue:
-    """Direct series at the order (N, tail) if given, else at the order
-    solved here."""
-    n, tail = order or truncation_order(abs(q2[0]), math.hypot(x4[0], x4[2]), tol)
-    s4, abs_sum = theta_sum_dd(q2, x4, n)
-    return cv_from_sum(s4, n, tail, abs_sum)
-
-
 def _theta_eval_dd(q2, x4, tol) -> CertifiedValue:
     """Routed evaluation with DD parameter and argument; the truncation order
     is solved once and reused by the direct route."""
@@ -70,18 +62,41 @@ def _theta_eval_dd(q2, x4, tol) -> CertifiedValue:
     xa = math.hypot(x4[0], x4[2])
     predicted, order = direct_route_order(abs(qh), xa, tol)
     if predicted <= max(tol, 1e-13):
-        return _theta_direct_dd(q2, x4, tol, order)
+        n, tail = order
+        return cv_within(*theta_sum_dd(q2, x4, n, tol), tail)
     return split_parts_dd(q2, x4, tol).difference
 
 
-def _x_sensitivity_bound(q, xa) -> float:
-    """Crude upper bound on |x * dtheta/dx| near (q, x); raises
-    InfeasibleToleranceError where the order solve passes the cap."""
-    n, _ = truncation_order(abs(q), xa, 1e-6)
-    lm = series_log_max_term(abs(q), xa)
-    if lm > 600.0:
-        return 1e300
-    return math.exp(lm) * (n + 1) * (n + 1)
+def _x_sensitivity_bound(q2, x4, dx, tol) -> float:
+    """Bound on |theta(q, x) - theta(q, x~)| for real x with |x - x~| <= dx
+    and x~ = x4 a real DD number; raises InfeasibleToleranceError where an
+    order solve passes the cap.
+
+    Taylor's theorem with the Lagrange remainder gives, for some xi between
+    x~ and x,
+
+        theta(x) - theta(x~) = theta_x(x~) (x - x~) + theta_xx(xi) (x - x~)^2 / 2.
+
+    * theta_x(x~) is certified by the integer kernel at the exact x~, so
+      |theta_x(x~)| <= |value| + err.  Its tolerance tol / (16 dx) keeps the
+      tail's share of the first-order term at tol / 16.
+    * |xi| <= X = |x~| + dx, so the positive terms of
+      M = sum_{j>=2} j (j-1) |q|^{tri(j)} X^{j-2} dominate those of
+      theta_xx(xi), and |theta_xx(xi)| <= M.  The terms past the order n of
+      derivative_truncation(|q|, X, 2, 0, 1) sum to at most its tail; each
+      of the n - 1 terms up to n is at most n^2 e^L / X^2,
+      e^L = max_j |q|^{tri(j)} X^j (series_log_max_term).  L stays far
+      below exp's overflow: both routes refuse x~ once L passes about 690.
+
+    The bound is dx (|value| + err) + (dx^2 tail + (dx/X)^2 n^3 e^L) / 2, the
+    last two with 1% for their float rounding.
+    """
+    d1 = _deriv_cv(q2, x4, 1, 0, tol / (16.0 * dx))
+    big_x = (abs(x4[0]) + dx) * (1.0 + 2.0 * EPS)
+    n, tail = derivative_truncation(abs(q2[0]), big_x, 2, 0, 1.0)
+    log_max = series_log_max_term(abs(q2[0]), big_x)
+    second = dx * dx * tail + (dx / big_x) ** 2 * n**3 * math.exp(log_max)
+    return dx * d1.abs_upper() + 0.505 * second
 
 
 def theta_certified(
@@ -141,8 +156,7 @@ def decompose(q: float, x: complex, tol: float = DEFAULT_TOL, q_max: float = Q_M
 def _deriv_cv(q2, x4, m, nq, tol) -> CertifiedValue:
     qh = q2[0]
     n, tail = derivative_truncation(abs(qh), math.hypot(x4[0], x4[2]), m, nq, tol)
-    v, bound = theta_deriv_sum(qh, q2[1], x4, n, m, nq, tol)
-    return cv_within(v, tail, bound)
+    return cv_within(*theta_deriv_sum(qh, q2[1], x4, n, m, nq, tol), tail)
 
 
 def theta_derivative(
@@ -229,26 +243,27 @@ def mixed_identity_residuals(
 
 
 def _dd_signed_power(q: float, p: float):
-    """x = -q^p as a DD pair plus a relative-error allowance.
+    """x = -q^p as a DD pair x~ plus a bound rel on |x - x~| / |x~|.
 
-    Integer and half-integer exponents are formed exactly in DD; general
-    exponents fall back to libm pow with the usual |p ln q| error growth.
+    Integer and half-integer exponents are formed in DD as b^N, b = q or
+    sqrt(q) and N = |p| or |2p|, inverted for p < 0.  Each DD operation has
+    relative error at most DD_OP/4 and a squaring doubles its input's, so
+    square-and-multiply stays within N DD_OP/2, the square root's error
+    grows N-fold and the division adds DD_OP/4: rel = (2N + 2) DD_OP covers
+    them.  General exponents fall back to libm pow with the usual |p ln q|
+    error growth.
     """
-    if float(p).is_integer():
-        p = int(p)
-        if p >= 0:
-            ph, pl = dd_pow_int(q, 0.0, p)
-        else:
-            ph, pl = dd_div(1.0, 0.0, *dd_pow_int(q, 0.0, -p))
-        return (-ph, -pl), 8.0 * EPS * EPS
     if float(2 * p).is_integer():
-        sh, sl = dd_sqrt(q, 0.0)
         n = int(2 * p)
-        if n >= 0:
-            ph, pl = dd_pow_int(sh, sl, n)
+        if n % 2 == 0:
+            b = (q, 0.0)
+            n //= 2
         else:
-            ph, pl = dd_div(1.0, 0.0, *dd_pow_int(sh, sl, -n))
-        return (-ph, -pl), 8.0 * EPS * EPS
+            b = dd_sqrt(q, 0.0)
+        ph, pl = dd_pow_int(*b, abs(n))
+        if n < 0:
+            ph, pl = dd_div(1.0, 0.0, ph, pl)
+        return (-ph, -pl), (2 * abs(n) + 2) * DD_OP
     xh = -math.pow(q, p)
     return (xh, 0.0), 4.0 * EPS * (1.0 + abs(p * math.log(q)))
 
@@ -256,9 +271,10 @@ def _dd_signed_power(q: float, p: float):
 def _diag_eval(q: float, p: float, tol: float) -> CertifiedValue:
     """theta(q, -q^p) with argument-rounding folded into err."""
     (xh, xl), rel = _dd_signed_power(q, p)
-    cv = _theta_eval_dd((q, 0.0), (xh, xl, 0.0, 0.0), tol)
-    sens = _x_sensitivity_bound(q, abs(xh)) * rel
-    return CertifiedValue(cv.value, cv.err + sens)
+    x4 = (xh, xl, 0.0, 0.0)
+    cv = _theta_eval_dd((q, 0.0), x4, tol)
+    dx = max(rel * abs(xh), 1e-300)
+    return CertifiedValue(cv.value, cv.err + _x_sensitivity_bound((q, 0.0), x4, dx, tol))
 
 
 def phi(q: float, k: float, tol: float = DEFAULT_TOL, q_max: float = Q_MAX) -> CertifiedValue:

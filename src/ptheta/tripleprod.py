@@ -53,13 +53,11 @@ import math
 from dataclasses import dataclass
 
 from .certified import (
-    EPS,
     CertifiedValue,
     Q_MAX,
-    cv_from_sum,
+    cv_within,
     require_q,
     require_x,
-    rounding_bound,
     theta_sum_dd,
     truncation_order,
 )
@@ -240,22 +238,14 @@ def _star_dd(q2, x4):
     return v, 0.7072 * (e1 + e2) + 4.0 * DD_OP * (cdd_abs1(w1) + cdd_abs1(w2))
 
 
-def _round(v4, err: float, what: str) -> CertifiedValue:
-    """The binary64 value of a DD value4 with DD-level err, plus the
-    representation term; real when the imaginary part is zero."""
-    v = v4[0] if v4[2] == 0.0 and v4[3] == 0.0 else complex(v4[0], v4[2])
-    err = err + 2.0 * EPS * abs(v)
-    if not err < math.inf:
-        raise RangeOverflowError(f"{what} {v} lies past binary64")
-    return CertifiedValue(v, err)
-
-
 def _inverse(x4):
     """1/x in complex DD; RangeOverflowError when it leaves binary64.
 
     x is scaled by a power of two (exactly) to a modulus near 1 and the
     reciprocal scaled back, so |x|^2 and the low limbs of its DD square
-    neither underflow nor overflow.
+    neither underflow nor overflow.  In the DD error model (DD_OP/4 per
+    operation) |x|^2 is within 5 DD_OP/16 relative and each part of the
+    quotient within 9 DD_OP/16, so the result is y (1 + e), |e| < DD_OP.
     """
     k = math.frexp(max(abs(x4[0]), abs(x4[2])))[1]
     ix4 = cdd_inv(tuple(math.ldexp(v, -k) for v in x4))
@@ -266,13 +256,34 @@ def _inverse(x4):
 
 
 def _g_dd(q2, ix4, tol: float):
-    """G(q, x) = theta(q, y) y with y = 1/x (DD): the direct series at y,
-    solved for the absolute tolerance tol/|y|, times y in DD.  Returns
-    (value4, terms, tail, abs_sum) for :func:`cv_from_sum`."""
+    """G(q, x) = theta(q, y) y with y = 1/x: the direct series at the DD
+    reciprocal ix4 = y (1 + e) of :func:`_inverse`, solved for the absolute
+    tolerance tol/|y|, times ix4 in DD.  Returns (value4, err), err bounding
+    the distance of value4 from G before any rounding to binary64:
+
+    * the truncation tail and the sum's rounding bound, both times |y|;
+    * the inversion: |e| < DD_OP moves the term q^{tri(j)} y^{j+1} by at most
+      1.01 (j + 1) DD_OP of itself, so all n + 1 of them by at most
+      1.01 DD_OP |y| sum_{j<=n} (j + 1) |q|^{tri(j)} |y|^j, that sum formed
+      in binary64 (its few roundings are inside the 1%);
+    * the DD product by ix4: DD_OP |s|_1 |ix4|_1 (|z|_1 = |Re z| + |Im z|),
+      s the sum;
+
+    the last three with 0.1% for |y| against the modulus of ix4's high limbs
+    and for their float rounding (the tail's own slack covers both).
+    """
+    qa = abs(q2[0])
     ya = math.hypot(ix4[0], ix4[2])
-    n, tail = truncation_order(abs(q2[0]), ya, tol / ya)
-    s4, abs_sum = theta_sum_dd(q2, ix4, n)
-    return cdd_mul(s4, ix4), n + 1, tail * ya, abs_sum * ya
+    n, tail = truncation_order(qa, ya, tol / ya)
+    s4, bound = theta_sum_dd(q2, ix4, n, tol / ya)
+    moved, t, r = 0.0, 1.0, ya
+    for j in range(1, n + 2):
+        moved += j * t
+        r *= qa
+        t *= r
+    inversion = DD_OP * 1.01 * moved
+    product = DD_OP * cdd_abs1(s4) * cdd_abs1(ix4)
+    return cdd_mul(s4, ix4), tail * ya + 1.001 * ((bound + inversion) * ya + product)
 
 
 def _validated(q, x, q_max, what):
@@ -297,13 +308,13 @@ def jacobi_theta_star(
     accordingly.
     """
     x4 = _validated(q, x, q_max, "the two-sided sum")
-    return _round(*_star_dd((q, 0.0), x4), "Theta*")
+    return cv_within(*_star_dd((q, 0.0), x4))
 
 
 def g_tail(q: float, x: complex, tol: float = 1e-14, q_max: float = Q_MAX) -> CertifiedValue:
     """Certified negative-index tail sum_{m>=1} q^{m(m-1)/2} / x^m."""
     x4 = _validated(q, x, q_max, "the tail series")
-    return cv_from_sum(*_g_dd((q, 0.0), _inverse(x4), tol))
+    return cv_within(*_g_dd((q, 0.0), _inverse(x4), tol))
 
 
 def theta_via_triple_product(
@@ -319,9 +330,7 @@ def split_parts_dd(q2, x4, tol: float) -> TripleProductParts:
     difference, formed in DD before rounding, stays within tol plus its
     representation term."""
     s4, es = _star_dd(q2, x4)
-    g4, n, tail, abs_sum = _g_dd(q2, _inverse(x4), 0.5 * tol)
-    eg = tail + rounding_bound(n, abs_sum * 1.000001, 0.0)
+    g4, eg = _g_dd(q2, _inverse(x4), 0.5 * tol)
     d4 = cdd_add(s4, tuple(-v for v in g4))
     ed = es + eg + DD_OP * (cdd_abs1(s4) + cdd_abs1(g4))
-    return TripleProductParts(_round(s4, es, "Theta*"), _round(g4, eg, "G"),
-                              _round(d4, ed, "theta"))
+    return TripleProductParts(cv_within(s4, es), cv_within(g4, eg), cv_within(d4, ed))

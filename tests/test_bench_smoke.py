@@ -33,6 +33,8 @@ def test_workload_correct_without_failures(workload, trace):
         # one order solve per direct evaluation, value or derivative
         assert metrics["certified.order_per_eval"]["value"] <= 1.0
         # the traced kernel names still exist and are still called
+        assert metrics["certified.real_ns_per_term"]["value"] > 0
+        assert metrics["certified.complex_ns_per_term"]["value"] > 0
         assert metrics["certified.deriv_ns_per_term"]["value"] > 0
     if trace and workload == "eval-split":
         # the ddarith names counted on tripleprod still exist and are called

@@ -5,16 +5,16 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ptheta.certified import truncation_order, tri
+from ptheta.certified import series_log_max_term, truncation_order, tri
 from ptheta.core import (
     decompose,
     functional_equation_residual,
     theta_certified,
     theta_derivative,
 )
-from ptheta.errors import RangeOverflowError
+from ptheta.errors import PThetaError, RangeOverflowError
 from ptheta.oracle import theta_deriv_ref, theta_ref
 from ptheta.tripleprod import theta_via_triple_product
 
@@ -46,11 +46,13 @@ def test_functional_equation_complex(q, x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(q=st.floats(min_value=0.05, max_value=0.95),
-       x=st.floats(min_value=0.1, max_value=20.0),
-       sign=st.sampled_from([-1.0, 1.0]))
-def test_split_agrees_with_direct(q, x, sign):
-    x *= sign
+@given(q=st.one_of(st.floats(min_value=-0.95, max_value=-0.05),
+                   st.floats(min_value=0.05, max_value=0.95)),
+       x=st.one_of(st.builds(lambda r, s: r * s, st.floats(min_value=0.1, max_value=20.0),
+                             st.sampled_from([-1.0, 1.0])),
+                   st.builds(cmath.rect, st.floats(min_value=0.1, max_value=20.0),
+                             st.floats(min_value=-math.pi, max_value=math.pi))))
+def test_split_agrees_with_direct(q, x):
     parts = theta_via_triple_product(q, x, 1e-14)
     direct = theta_certified(q, x, 1e-13)
     diff = abs(complex(parts.difference.value) - complex(direct.value))
@@ -85,14 +87,30 @@ def test_truncation_order_postconditions(q, x, tol):
     assert brute <= tail or brute == 0.0
 
 
-@settings(max_examples=40, deadline=None)
-@given(q=qs, x=st.floats(min_value=-8.0, max_value=8.0))
+@settings(max_examples=100, deadline=None)
+@given(q=st.one_of(st.floats(min_value=-0.99, max_value=-0.02),
+                   st.floats(min_value=0.02, max_value=0.99)),
+       x=st.one_of(st.floats(min_value=-50.0, max_value=50.0),
+                   st.builds(cmath.rect, st.floats(min_value=0.0, max_value=50.0),
+                             st.floats(min_value=-math.pi, max_value=math.pi))))
+# the split with G at complex 1/x, for q > 0 and q < 0, and two refusals:
+# one past binary64, one inside it but past the documented range
+@example(q=0.95, x=cmath.rect(20.0, 1.0))
+@example(q=0.97, x=cmath.rect(12.0, -2.0))
+@example(q=-0.99, x=cmath.rect(9.0, 0.7))
+@example(q=0.99, x=cmath.rect(50.0, 1.0))
+@example(q=0.99, x=cmath.rect(50.0, 3.0))
 def test_certified_interval_contains_reference(q, x):
-    cv = theta_certified(q, x, 1e-12)
-    import mpmath as mp
-
     ref = theta_ref(q, x)
-    assert abs(mp.mpf(cv.real) - ref) <= cv.err
+    try:
+        cv = theta_certified(q, x, 1e-12)
+    except PThetaError:
+        # refused only past binary64 or past the documented range: the
+        # largest term on the circle |x| = r (and with it the largest
+        # |Theta*| there) beyond about e^690
+        assert abs(ref) > 1e307 or series_log_max_term(abs(q), abs(x)) > 680.0
+        return
+    assert abs(mp.mpc(complex(cv.value)) - ref) <= cv.err
 
 
 @settings(max_examples=200, deadline=None)
