@@ -48,7 +48,8 @@ class SeparationValidationError(PThetaError):
 
 
 class SeedFailureError(PThetaError):
-    """No trajectory collision was found when seeding a double-zero solve."""
+    """A seeded double-zero solve converged outside the k-th odd-to-even gap
+    (q > 0) or the k-th anchor interval (q < 0), so its index is not k."""
 
 
 class ConvergenceError(PThetaError):

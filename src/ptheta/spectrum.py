@@ -4,12 +4,15 @@ For q > 0 these are an increasing sequence accumulating at 1; crossing one
 turns the two rightmost surviving real zeros into a complex conjugate pair.
 For q < 0 the collisions alternate between a negative-axis pair (odd index,
 a local minimum touching zero from below) and a positive-axis pair (even
-index, local maximum).  Each solve seeds a damped two-equation Newton
-iteration (theta = 0, theta_x = 0) from a tracked trajectory collision.
+index, local maximum).  Each solve starts a damped two-equation Newton
+iteration (theta = 0, theta_x = 0) from a closed-form seed and accepts the
+result only if the double zero lies in the interval its index k assigns:
+the k-th odd-to-even gap for q > 0, the anchor interval for q < 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +25,7 @@ from .errors import (
     IndeterminateSignError,
     SeedFailureError,
 )
-from .zeros import Disk, complex_zeros, real_zeros, track_zeros
+from .zeros import Disk, complex_zeros
 
 K_CAP = 6  # spectral values accumulate at |q| = 1; desk scale stops here
 
@@ -47,8 +50,11 @@ class SpectralPoint:
             raise ValueError(f"bad character {self.character!r}")
 
 
-def _newton_2d(q0: float, y0: float, tol: float, q_sign: float) -> tuple[float, float]:
-    """Damped Newton on F(q,y) = (theta, theta_x); regular at double zeros."""
+def _newton_2d(q0: float, y0: float, tol: float):
+    """Damped Newton on F(q,y) = (theta, theta_x); regular at double zeros.
+
+    Steps keep the sign of q0.  Returns (q, y, theta, theta_x), the last two
+    the certified values that passed the convergence test."""
     q, y = q0, y0
     eval_tol = min(tol, 1e-13) / 10.0
 
@@ -63,7 +69,7 @@ def _newton_2d(q0: float, y0: float, tol: float, q_sign: float) -> tuple[float, 
         if abs(f0.real) <= max(tol, 4.0 * f0.err) and abs(f1.real) <= max(
             tol, 4.0 * f1.err
         ):
-            return q, y
+            return q, y, f0, f1
         j00 = theta_derivative(q, y, dq_order=1, tol=eval_tol).real
         j01 = f1.real
         j10 = theta_derivative(q, y, dx_order=1, dq_order=1, tol=eval_tol).real
@@ -76,7 +82,7 @@ def _newton_2d(q0: float, y0: float, tol: float, q_sign: float) -> tuple[float, 
         lam = 1.0
         for _ in range(20):
             qt, yt = q + lam * dq, y + lam * dy
-            if 0.0 < abs(qt) < Q_MAX and (qt > 0) == (q_sign > 0):
+            if 0.0 < abs(qt) < Q_MAX and (qt > 0) == (q0 > 0):
                 g0, g1 = F(qt, yt)
                 gnorm = max(abs(g0.real), abs(g1.real))
                 if gnorm < norm or gnorm == 0.0:
@@ -86,63 +92,6 @@ def _newton_2d(q0: float, y0: float, tol: float, q_sign: float) -> tuple[float, 
         else:
             raise ConvergenceError("damping exhausted in the double-zero solve")
     raise ConvergenceError("double-zero solve did not converge")
-
-
-def _collision_seed(pair_xs, q_start, q_limit, max_step=0.01):
-    trajs = track_zeros(list(pair_xs), q_start, q_limit, max_step=max_step)
-    t = trajs[0]
-    if t.collision_q is None:
-        raise SeedFailureError(
-            f"no collision while tracking from q={q_start} toward {q_limit}"
-        )
-    return t.collision_q, t.points[-1].real
-
-
-def _finish(case, k, q, y, tol) -> SpectralPoint:
-    f0 = theta_certified(q, y, min(tol, 1e-13))
-    f1 = theta_derivative(q, y, dx_order=1, tol=min(tol, 1e-13))
-    fxx = theta_derivative(q, y, dx_order=2, tol=min(tol, 1e-13))
-    character = "local_min" if fxx.real > 0 else "local_max"
-    if abs(fxx.real) <= 1e3 * tol:
-        raise ConvergenceError(
-            f"second derivative {fxx.real} not separated from zero: "
-            "multiplicity-2 certification failed"
-        )
-    return SpectralPoint(
-        case=case,
-        k=k,
-        q_star=q,
-        y=y,
-        character=character,
-        residual_theta=abs(f0.real),
-        residual_theta_x=abs(f1.real),
-        theta_xx=fxx.real,
-    )
-
-
-@lru_cache(maxsize=64)
-def spectral_point_A(k: int, tol: float = DEFAULT_TOL) -> SpectralPoint:
-    """k-th positive spectral value, from the collision of the k-th
-    surviving real-zero pair."""
-    if not 1 <= k <= K_CAP:
-        raise DomainError(f"k must be in 1..{K_CAP}")
-    # below the first spectral value all zeros are real, so the pair
-    # (2k-1, 2k) is simply the (2k-1)-th and 2k-th rightmost
-    q_start = 0.25
-    r_max = 3.0 * q_start ** (-2 * k)
-    zeros = real_zeros(q_start, -r_max, 0.0, tol=1e-10)
-    if len(zeros) < 2 * k:
-        raise SeedFailureError(
-            f"only {len(zeros)} real zeros found at q={q_start}, need {2 * k}"
-        )
-    by_right = sorted(zeros, key=lambda r: -r.x.real)
-    pair = (by_right[2 * k - 2].x, by_right[2 * k - 1].x)
-    q_col, y_col = _collision_seed(pair, q_start, 0.93)
-    q, y = _newton_2d(q_col, y_col, tol, +1.0)
-    point = _finish("A", k, q, y, tol)
-    if point.y >= 0:
-        raise ConvergenceError("positive-case double zero must be negative")
-    return point
 
 
 def _b_indices(k: int):
@@ -156,31 +105,66 @@ def _b_indices(k: int):
     return 4 * el + 3, 4 * el + 5
 
 
+def _collision_seed(case: str, k: int) -> tuple[float, float]:
+    """Closed-form seed (q0, y0) for the k-th double zero.
+
+    Case A: q0 = 1 - pi/(2k+2), from the leading term of Kostov's expansion
+    1 - pi/(2k) (Rev. Mat. Complut. 27, 2014), and y0 = -e^pi, the limit of
+    the double zeros as q -> 1.  Case B: q0 = -1 + pi/(4k+7), and y0 the
+    signed geometric mean of the anchors -q0^{-i} that bracket the collision,
+    (i1, i2) = _b_indices(k).
+    """
+    if case == "A":
+        return 1.0 - math.pi / (2 * k + 2), -math.exp(math.pi)
+    q0 = -1.0 + math.pi / (4 * k + 7)
+    a1, a2 = (-1.0 / q0**i for i in _b_indices(k))
+    return q0, math.copysign(math.sqrt(a1 * a2), a1)
+
+
+def _index_interval(case: str, k: int, q: float) -> tuple[float, float]:
+    """Where the k-th double zero lies at q: case A the odd-to-even gap
+    (-q^{-2k}, -q^{1-2k}); case B the anchor interval of _b_indices(k)."""
+    ends = (2 * k, 2 * k - 1) if case == "A" else _b_indices(k)
+    lo, hi = sorted(-1.0 / q**i for i in ends)
+    return lo, hi
+
+
+def _spectral_point(case: str, k: int, tol: float) -> SpectralPoint:
+    if not 1 <= k <= K_CAP:
+        raise DomainError(f"k must be in 1..{K_CAP}")
+    q, y, f0, f1 = _newton_2d(*_collision_seed(case, k), tol)
+    lo, hi = _index_interval(case, k, q)
+    if not lo < y < hi:
+        raise SeedFailureError(
+            f"{case}{k}: double zero at q={q}, y={y} lies outside ({lo}, {hi})"
+        )
+    fxx = theta_derivative(q, y, dx_order=2, tol=min(tol, 1e-13)).real
+    if abs(fxx) <= 1e3 * tol:
+        raise ConvergenceError(
+            f"second derivative {fxx} not separated from zero: "
+            "multiplicity-2 certification failed"
+        )
+    return SpectralPoint(
+        case=case, k=k, q_star=q, y=y,
+        character="local_min" if fxx > 0 else "local_max",
+        residual_theta=abs(f0.real), residual_theta_x=abs(f1.real), theta_xx=fxx,
+    )
+
+
+@lru_cache(maxsize=64)
+def spectral_point_A(k: int, tol: float = DEFAULT_TOL) -> SpectralPoint:
+    """k-th positive spectral value q~_k, where the (2k-1)-th and 2k-th
+    rightmost real zeros collide in a local minimum.  Newton starts from a
+    closed-form seed, and the result is accepted only if the double zero lies
+    in the k-th odd-to-even gap (-q^{-2k}, -q^{1-2k})."""
+    return _spectral_point("A", k, tol)
+
+
 @lru_cache(maxsize=64)
 def spectral_point_B(k: int, tol: float = DEFAULT_TOL) -> SpectralPoint:
     """k-th negative spectral value; odd k collides a negative-axis pair,
-    even k a positive-axis pair."""
-    if not 1 <= k <= K_CAP:
-        raise DomainError(f"k must be in 1..{K_CAP}")
-    q_start = -0.4
-    i1, i2 = _b_indices(k)
-    r_max = 3.0 * abs(q_start) ** (-max(i1, i2))
-    zeros = real_zeros(q_start, -r_max, r_max, tol=1e-10)
-    by_index = {r.index: r for r in zeros if r.index is not None}
-    if i1 not in by_index or i2 not in by_index:
-        raise SeedFailureError(
-            f"zeros with indices {i1},{i2} not found at q={q_start}"
-        )
-    pair = (by_index[i1].x, by_index[i2].x)
-    q_col, y_col = _collision_seed(pair, q_start, -0.955, max_step=0.005)
-    q, y = _newton_2d(q_col, y_col, tol, -1.0)
-    point = _finish("B", k, q, y, tol)
-    want_negative = k % 2 == 1
-    if (point.y < 0) != want_negative:
-        raise ConvergenceError(
-            f"double zero parity violated: k={k}, y={point.y}"
-        )
-    return point
+    even k a positive-axis pair, inside the anchor interval of _b_indices(k)."""
+    return _spectral_point("B", k, tol)
 
 
 def spectral_point(case: str, k: int, tol: float = DEFAULT_TOL) -> SpectralPoint:
@@ -261,6 +245,5 @@ def double_zero_interval_check(point: SpectralPoint) -> bool:
     """Membership of the double zero in its anchor interval -1/q^{e}."""
     if point.case != "B":
         raise DomainError("interval membership concerns the q < 0 case")
-    q = point.q_star
-    lo, hi = sorted(-1.0 / q**i for i in _b_indices(point.k))
+    lo, hi = _index_interval("B", point.k, point.q_star)
     return lo < point.y < hi

@@ -11,11 +11,11 @@ def assert_covers(cv, reference, slack=0.0):
 
 @pytest.fixture(scope="session")
 def spectral_a():
-    from ptheta.spectrum import spectral_point_A
-    return {k: spectral_point_A(k) for k in (1, 2, 3)}
+    from ptheta.spectrum import K_CAP, spectral_point_A
+    return {k: spectral_point_A(k) for k in range(1, K_CAP + 1)}
 
 
 @pytest.fixture(scope="session")
 def spectral_b():
-    from ptheta.spectrum import spectral_point_B
-    return {k: spectral_point_B(k) for k in (1, 2, 3)}
+    from ptheta.spectrum import K_CAP, spectral_point_B
+    return {k: spectral_point_B(k) for k in range(1, K_CAP + 1)}

@@ -22,7 +22,7 @@ def run_workload(workload, trace):
 
 
 @pytest.mark.parametrize("workload,trace", [("eval-direct", 1), ("eval-split", 0),
-                                            ("eval-split", 1)])
+                                            ("eval-split", 1), ("solve", 1)])
 def test_workload_correct_without_failures(workload, trace):
     result = run_workload(workload, trace)
     assert result["correct"] is True
@@ -39,3 +39,7 @@ def test_workload_correct_without_failures(workload, trace):
     if trace and workload == "eval-split":
         # the ddarith names counted on tripleprod still exist and are called
         assert metrics["ddarith.calls_per_split"]["value"] > 0
+    if trace and workload == "solve":
+        # the traced spectral seed and Newton names still exist and are called
+        assert metrics["spectrum.seed_s"]["value"] > 0
+        assert metrics["spectrum.newton_s"]["value"] > 0

@@ -3,7 +3,8 @@
 import mpmath as mp
 import pytest
 
-from ptheta.errors import DomainError, IndeterminateSignError
+from ptheta import spectrum
+from ptheta.errors import DomainError, IndeterminateSignError, SeedFailureError
 from ptheta.oracle import theta_deriv_ref, theta_ref
 from ptheta.spectrum import (
     double_zero_interval_check,
@@ -36,7 +37,8 @@ class TestCaseA:
         assert nothing_right == []
 
     def test_ordering_and_growth(self, spectral_a):
-        assert 0 < spectral_a[1].q_star < spectral_a[2].q_star < spectral_a[3].q_star < 1
+        qs = [spectral_a[k].q_star for k in sorted(spectral_a)]
+        assert 0 < qs[0] and all(a < b for a, b in zip(qs, qs[1:])) and qs[-1] < 1
 
     def test_character_and_multiplicity(self, spectral_a):
         for p in spectral_a.values():
@@ -59,17 +61,68 @@ class TestCaseB:
         assert spectral_b[k].q_star < 0  # stored negative
 
     def test_parity_of_double_zeros(self, spectral_b):
-        assert spectral_b[1].y < 0 and spectral_b[1].character == "local_min"
-        assert spectral_b[2].y > 0 and spectral_b[2].character == "local_max"
-        assert spectral_b[3].y < 0 and spectral_b[3].character == "local_min"
+        # odd k: negative-axis local minimum; even k: positive-axis maximum
+        for k, p in spectral_b.items():
+            assert (p.y < 0) == (k % 2 == 1), k
+            assert p.character == ("local_min" if k % 2 else "local_max"), k
+            assert p.residual_theta <= 1e-12 and p.residual_theta_x <= 1e-12, k
 
     def test_interval_membership(self, spectral_b):
-        for k in (1, 2, 3):
+        for k in spectral_b:
             assert double_zero_interval_check(spectral_b[k])
 
     def test_interval_check_requires_case_b(self, spectral_a):
         with pytest.raises(DomainError):
             double_zero_interval_check(spectral_a[1])
+
+
+# (q*, y) of A1-A6 and B1-B6 from Newton seeded by a real-zero scan and
+# trajectory continuation: an independent route to the same double zeros
+REFERENCE_POINTS = {
+    ("A", 1): (0.3092493386000771, -7.503255964244164),
+    ("A", 2): (0.5169593597880523, -11.71316821892421),
+    ("A", 3): (0.6306283160631743, -14.068512932539862),
+    ("A", 4): (0.7012650700827319, -15.57816899725596),
+    ("A", 5): (0.7492689316356146, -16.633376738206376),
+    ("A", 6): (0.7839844578387184, -17.41541487160217),
+    ("B", 1): (-0.7271333254557867, -2.9911151759058257),
+    ("B", 2): (-0.7837420931951357, 2.9067841754095674),
+    ("B", 3): (-0.8416019224705502, -3.620835689205324),
+    ("B", 4): (-0.8612572687511838, 3.5236182083541867),
+    ("B", 5): (-0.8879528170535194, -3.9086471607358457),
+    ("B", 6): (-0.897904334964027, 3.8227863050275066),
+}
+
+
+class TestClosedFormSeeds:
+    def test_reference_values_and_oracle_residuals(self, spectral_a, spectral_b):
+        points = {("A", k): p for k, p in spectral_a.items()}
+        points.update({("B", k): p for k, p in spectral_b.items()})
+        assert set(points) == set(REFERENCE_POINTS)
+        for key, (q_ref, y_ref) in REFERENCE_POINTS.items():
+            p = points[key]
+            assert abs(p.q_star - q_ref) <= 1e-10, key
+            assert abs(p.y - y_ref) <= 1e-8, key
+            assert abs(theta_ref(p.q_star, p.y)) <= p.residual_theta + 1e-12, key
+            assert (abs(theta_deriv_ref(p.q_star, p.y, 1, 0))
+                    <= p.residual_theta_x + 1e-12), key
+
+    def test_wrong_seed_fails_the_index_check(self, monkeypatch):
+        # each borrowed seed converges to another double zero, which lies
+        # outside the gap or anchor interval of the requested index
+        seed = spectrum._collision_seed
+        borrowed = {("A", 2): ("A", 3), ("A", 3): ("A", 1), ("B", 2): ("B", 4)}
+        monkeypatch.setattr(spectrum, "_collision_seed",
+                            lambda case, k: seed(*borrowed.get((case, k), (case, k))))
+        spectral_point_A.cache_clear()
+        spectral_point_B.cache_clear()
+        try:
+            for case, k in borrowed:
+                with pytest.raises(SeedFailureError):
+                    spectral_point(case, k)
+        finally:
+            spectral_point_A.cache_clear()
+            spectral_point_B.cache_clear()
 
 
 class TestIndependentOracle:
