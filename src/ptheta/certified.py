@@ -150,9 +150,6 @@ class CertifiedValue:
     def abs_upper(self) -> float:
         return abs(self.value) + self.err
 
-    def abs_lower(self) -> float:
-        return max(0.0, abs(self.value) - self.err)
-
 
 def rounding_bound(n_terms: int, abs_sum: float) -> float:
     """Bound on accumulated DD rounding for an n-term compensated sum.
@@ -169,58 +166,81 @@ def rounding_bound(n_terms: int, abs_sum: float) -> float:
 
 
 def truncation_order(q_abs: float, x_abs: float, tol: float):
-    """Smallest N with q^{N+1} x <= 1/2 and geometric tail bound <= tol.
+    """(N, tail) for the series itself: :func:`_series_order` at m = nq = 0."""
+    return _series_order(q_abs, x_abs, 0, 0, tol)
 
-    Returns (N, tail_bound).  The tail bound T(N) is the first omitted term
-    over 1 - ratio, valid because successive term ratios q^{j+1} x only
-    decrease.  Computed in log space to survive extreme magnitudes.
 
-    N is solved in closed form.  With k = N + 1,
-    ln T(N) = tri(k) ln q + k ln x - log1p(-r) and the log1p term is >= 0, so
-    every admissible k is at least the larger root k+ of the quadratic
-    tri(k) ln q + k ln x = ln tol; past the ratio threshold n0 that quadratic
-    falls by at least ln 2 per step, and the log1p term is at most ln 2.
-    Stepping up by one from just below k+ against the exact ln T therefore
-    reaches the smallest admissible N within a few evaluations.
+def derivative_truncation(q_abs: float, x_abs: float, m: int, nq: int, tol: float):
+    """(n, tail) for the (d/dx)^m (d/dq)^nq series: :func:`_series_order`."""
+    return _series_order(q_abs, x_abs, m, nq, tol)
+
+
+def _series_order(q_abs: float, x_abs: float, m: int, nq: int, tol: float):
+    """(n, T(n)) for the smallest n >= j0 with rho_n <= 1/2 and T(n) <= tol.
+
+    The terms of the series differentiated m times in x and nq times in q
+    are t_j = c_j q^{tri(j)-nq} x^{j-m}, c_j = deriv_coeff(j, m, nq), from
+    j0 = first_index(m, nq) on; rho_j = t_{j+1}/t_j and T(n) = t_{n+1} /
+    (1 - rho_{n+1}).  For the series itself c_j = 1 and j0 = 0.
+
+    Proof of the rule.  For j >= j0, rho_j = (c_{j+1}/c_j) q^{j+1} x.  The
+    factors (j+1)/(j+1-m) and 1 + (j+1)/(tri(j)-i), i < nq, of c_{j+1}/c_j
+    fall as j grows (the latter as tri(j) - i <= (j+1)^2), and so does
+    q^{j+1}: rho_j decreases.  Once rho_n <= 1/2 the omitted terms sum to at
+    most t_{n+1} (1 + rho_{n+1} + rho_{n+1}^2 + ...) = T(n), and both
+    conditions, T falling, hold for every larger n.  So n is found by
+    stepping up from a lower bound.
+
+    Lower bound.  The c_j are integers >= 1 that increase with j, so
+    rho_n <= 1/2 needs (n+1) ln q + ln x <= -ln 2, and k = n + 1 needs
+    tri(k) ln q + k ln x <= ln tol + nq ln q + m ln x - ln c_k, where c_k
+    may be replaced by c_{k'} for any lower bound k' on k.  Past the ratio
+    threshold, itself past the quadratic's vertex, k is at least its larger
+    root (less a step of slack for rounding).  Everything runs in log space
+    to survive extreme magnitudes; for the series the coefficient logs are
+    exactly 0.0, so its rule is the plain geometric one.
     """
-    if math.isnan(q_abs) or q_abs < 0 or q_abs >= 1.0:
-        raise DomainError(f"truncation_order requires 0 <= q_abs < 1, got {q_abs}")
+    if not 0.0 <= q_abs < 1.0:
+        raise DomainError(f"truncation order requires 0 <= q_abs < 1, got {q_abs}")
     if not x_abs < math.inf:
-        raise DomainError(f"truncation_order requires a finite x_abs, got {x_abs}")
+        raise DomainError(f"truncation order requires a finite x_abs, got {x_abs}")
     if tol <= 0:
         raise DomainError("tol must be positive")
+    n = first_index(m, nq)
     if x_abs == 0.0 or q_abs == 0.0:
-        return 0, 0.0
+        return n, 0.0
 
     cap = n_cap()
     lq = math.log(q_abs)
     lx = math.log(x_abs)
     log_tol = math.log(tol)
-
-    def log_tail(n: int) -> float:
-        # ratio of terms beyond the first omitted one
-        log_r = (n + 2) * lq + lx
-        r = math.exp(min(log_r, -LN2))
-        return tri(n + 1) * lq + (n + 1) * lx - math.log1p(-r)
-
-    # smallest N with (N+1) lq + lx <= -ln 2
-    n0 = max(0, math.ceil((-LN2 - lx) / lq) - 1)
-    while (n0 + 1) * lq + lx > -LN2:  # guard against ceil rounding
-        n0 += 1
-    if n0 > cap:
-        raise InfeasibleToleranceError(
-            f"truncation order {n0} exceeds cap {cap} (q_abs={q_abs}, x_abs={x_abs})"
-        )
-    n = max(n0, _quadratic_root(lq, 0.5 * lq + lx, log_tol) - 2)
+    b = 0.5 * lq + lx
+    rhs = log_tol + nq * lq + m * lx
+    n = max(n, math.ceil((-LN2 - lx) / lq) - 1)
+    while (n + 1) * lq + lx > -LN2:  # guard against ceil rounding
+        n += 1
+    n = max(n, _quadratic_root(lq, b, rhs) - 2)
+    lc1 = lc2 = 0.0  # ln c_{n+1}, ln c_{n+2}
+    if m or nq:
+        n = max(n, _quadratic_root(lq, b, rhs - math.log(deriv_coeff(n + 1, m, nq))) - 2)
+        lc0 = math.log(deriv_coeff(n, m, nq))
+        while n <= cap:  # up to the coefficients' ratio threshold
+            lc1 = math.log(deriv_coeff(n + 1, m, nq))
+            if (lc1 - lc0) + (n + 1) * lq + lx <= -LN2:
+                break
+            n, lc0 = n + 1, lc1
+        lc2 = math.log(deriv_coeff(n + 2, m, nq))
     while n <= cap:
-        lt = log_tail(n)
+        r = math.exp(min((lc2 - lc1) + (n + 2) * lq + lx, -LN2))
+        lt = lc1 + (tri(n + 1) - nq) * lq + (n + 1 - m) * lx - math.log1p(-r)
         if lt <= log_tol:
             # small exponent slack absorbs the log-space rounding
             return n, math.exp(min(lt + 1e-6, 700.0))
         n += 1
+        if m or nq:
+            lc1, lc2 = lc2, math.log(deriv_coeff(n + 2, m, nq))
     raise InfeasibleToleranceError(
-        f"tolerance {tol} unreachable within cap {cap} "
-        f"(q_abs={q_abs}, x_abs={x_abs})"
+        f"tolerance {tol} unreachable within cap {cap} (q_abs={q_abs}, x_abs={x_abs})"
     )
 
 
@@ -236,84 +256,25 @@ def _quadratic_root(lq: float, b: float, c: float) -> int:
     return math.ceil((b + s) / -lq if b > 0.0 else -2.0 * c / (s - b))
 
 
-def falling(e: int, n: int) -> int:
-    p = 1
-    for i in range(n):
-        p *= e - i
-    return p
-
-
 @lru_cache(maxsize=200_000)
 def deriv_coeff(j: int, m: int, nq: int) -> int:
-    """Exact integer coefficient of the term-wise differentiated series."""
+    """Exact integer coefficient of the term-wise differentiated series:
+    j (j-1) ... (j-m+1) e (e-1) ... (e-nq+1) with e = tri(j)."""
     c = 1
     for i in range(m):
         c *= j - i
-    return c * falling(tri(j), nq)
+    for i in range(nq):
+        c *= tri(j) - i
+    return c
 
 
-def derivative_truncation(q_abs: float, x_abs: float, m: int, nq: int, tol: float):
-    """Truncation order for the (d/dx)^m (d/dq)^nq series.
-
-    Successive term ratios (coefficient growth times q^{j+1} x) decrease in j,
-    so once the ratio at the first omitted term is <= 1/2 the tail is bounded
-    by twice that term.  Returns (n, tail) for the smallest n >= max(j0+2, 3),
-    j0 the first index with a nonzero coefficient, at which that ratio is
-    <= 1/2 and twice that term is <= tol.
-
-    Both conditions, once met, hold for every larger n, so n is found by
-    stepping up by one from a lower bound.  The coefficients are integers
-    >= 1 that increase with j, so dropping the coefficient ratio gives
-    (k+1) ln q + ln x <= -ln 2 with k = n + 1, and bounding the coefficient
-    below by its value at a smaller index gives a quadratic in k whose larger
-    root bounds k below (less one, where the ratio threshold lies left of the
-    quadratic's vertex).  Two refinements of the coefficient leave a few
-    steps to take.
-    """
-    if math.isnan(q_abs) or q_abs < 0 or q_abs >= 1.0:
-        raise DomainError(f"derivative_truncation requires 0 <= q_abs < 1, got {q_abs}")
-    if not x_abs < math.inf:
-        raise DomainError(f"derivative_truncation requires a finite x_abs, got {x_abs}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    j0 = m
-    while deriv_coeff(j0, m, nq) == 0:
-        j0 += 1
-    if x_abs == 0.0 or q_abs == 0.0:
-        return j0, 0.0
-
-    cap = n_cap()
-    lq = math.log(q_abs)
-    lx = math.log(x_abs)
-    log_tol = math.log(tol)
-
-    def log_term(j: int) -> float:
-        return math.log(deriv_coeff(j, m, nq)) + (tri(j) - nq) * lq + (j - m) * lx
-
-    # k = n + 1 >= k_ratio from the ratio, and >= the quadratic's root, less
-    # one where k_ratio lies left of its vertex; one more step of slack
-    # covers rounding.  Each pass raises the coefficient's floor to c(n+1).
-    k_ratio = math.ceil((-LN2 - lx) / lq - 1.0)
-    b = 0.5 * lq + lx
-    n = max(j0 + 2, 3)
-    log_c = 0.0
-    for _ in range(2):
-        rhs = log_tol - LN2 + nq * lq + m * lx - log_c
-        n = max(n, max(k_ratio, _quadratic_root(lq, b, rhs)) - 3)
-        if n >= cap:
-            break
-        log_c = math.log(deriv_coeff(n + 1, m, nq))
-    lt = log_term(n + 1) if n <= cap else math.inf
-    while n <= cap:
-        lt_next = log_term(n + 2)
-        if lt_next - lt <= -LN2 and lt + LN2 <= log_tol:
-            tail = math.exp(min(lt + LN2 + 1e-6, 700.0))
-            return n, tail
-        n += 1
-        lt = lt_next
-    raise InfeasibleToleranceError(
-        f"derivative tolerance {tol} unreachable within cap {cap}"
-    )
+def first_index(m: int, nq: int) -> int:
+    """First j with deriv_coeff(j, m, nq) != 0: the first j >= m with
+    tri(j) >= nq."""
+    j = m
+    while tri(j) < nq:
+        j += 1
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +355,9 @@ def _to_dd(m: int, e: int):
 def _series_sum(qh, ql, x4, n, m, nq, tol):
     """The series differentiated m times in x and nq times in q, to order n:
     sum_{j=j0}^{n} c_j q^{e_j - nq} x^{j - m}, with e_j = tri(j),
-    c_j = deriv_coeff(j, m, nq) and j0 the first index where c_j != 0,
-    summed in Python integers.  m = nq = 0 is the series itself (every
-    c_j = 1, j0 = 0).
+    c_j = deriv_coeff(j, m, nq) and j0 = first_index(m, nq), summed in
+    Python integers.  m = nq = 0 is the series itself (every c_j = 1,
+    j0 = 0).
 
     Returns (value4, bound): the exact sum of the computed terms as a complex
     DD quadruple, and a bound on the distance of value4 from the partial sum.
@@ -426,9 +387,7 @@ def _series_sum(qh, ql, x4, n, m, nq, tol):
     max(tol, eps (|value| - bound)) / 4: cancellation costs bits, not err.
     The coefficients are formed once, and for m = nq = 0 not multiplied.
     """
-    j0 = m
-    while deriv_coeff(j0, m, nq) == 0:
-        j0 += 1
+    j0 = first_index(m, nq)
     (qa, qb, a, b, c, d), e = _dyadic(qh, ql, *x4)
     q, xr, xi = qa + qb, a + b, c + d
     # the exact power part at j0, (p0r + i p0i) 2^pe0

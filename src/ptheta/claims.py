@@ -28,7 +28,7 @@ from .core import (
     theta_derivative,
 )
 from .errors import DomainError, PThetaError
-from .spectrum import sign_at_anchor, spectral_point_A, spectral_point_B
+from .spectrum import sign_at_anchor, spectral_point
 from .tripleprod import theta_via_triple_product
 from .zeros import Disk, real_zeros, complex_zeros, track_zero, zero_count, ClippedLeftHalfDisk
 
@@ -414,7 +414,7 @@ def check_xi2k_increasing(k: int, q_lo: float = 0.05, q_hi: float | None = None,
     """The 2k-th real zero increases in q up to its collision value."""
     cid = f"a-even-zero-increasing-k{k}"
     if q_hi is None:
-        q_hi = spectral_point_A(k, tol).q_star - 0.01
+        q_hi = spectral_point("A", k, tol).q_star - 0.01
     zeros = real_zeros(q_lo, -3.5 * q_lo ** (-2 * k), 0.0, tol=1e-10)
     by_right = sorted(zeros, key=lambda r: -r.x.real)
     if len(by_right) < 2 * k:
@@ -474,7 +474,7 @@ def check_interval_transfer(tol: float = DEFAULT_TOL, n_random: int = 1000,
         if diff > budget:
             return ClaimReport(cid, "violated", (q, x), diff,
                                ("cubic transfer identity residual too large",))
-    p2 = spectral_point_B(2, tol)
+    p2 = spectral_point("B", 2, tol)
     q2, y2 = p2.q_star, p2.y
     at_transfer = theta_certified(q2, y2 / q2**3, tol)
     if not at_transfer.definitely_less(0.0):

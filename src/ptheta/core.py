@@ -83,8 +83,9 @@ def _x_sensitivity_bound(q2, x4, dx, tol) -> float:
     * |xi| <= X = |x~| + dx, so the positive terms of
       M = sum_{j>=2} j (j-1) |q|^{tri(j)} X^{j-2} dominate those of
       theta_xx(xi), and |theta_xx(xi)| <= M.  The terms past the order n of
-      derivative_truncation(|q|, X, 2, 0, 1) sum to at most its tail; each
-      of the n - 1 terms up to n is at most n^2 e^L / X^2,
+      derivative_truncation(|q|, X, 2, 0, 1) sum to at most its tail (the
+      rule is proved in certified._series_order); each of the n - 1 terms
+      up to n is at most n^2 e^L / X^2,
       e^L = max_j |q|^{tri(j)} X^j (series_log_max_term).  L stays far
       below exp's overflow: both routes refuse x~ once L passes about 690.
 

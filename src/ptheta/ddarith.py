@@ -26,9 +26,6 @@ import math
 # 2**27 + 1, Dekker's splitting constant for binary64
 _SPLITTER = 134217729.0
 
-# Overflow guard for split(): |a| above this would overflow the scaled copy.
-_SPLIT_MAX = 6.69692879491417e307
-
 
 def two_sum(a, b):
     """Error-free sum: returns (s, e) with s = fl(a+b) and s + e = a + b."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .certified import DEFAULT_TOL, require_q, truncation_order
 from .errors import DomainError, SeparationValidationError
-from .spectrum import spectral_point_A, spectral_point_B
+from .spectrum import spectral_point
 from .tripleprod import g_tail, jacobi_theta_star
 from .zeros import COMPLEX_Q_CAP, Disk, ZeroRecord, complex_zeros, real_zeros
 
@@ -108,7 +108,7 @@ def separating_line_A(q: float, tol: float = DEFAULT_TOL) -> SeparationResult:
     require_q(q)
     if q <= 0:
         raise DomainError("separating lines concern q > 0")
-    q1 = spectral_point_A(1, tol).q_star
+    q1 = spectral_point("A", 1, tol).q_star
     reals = real_zeros(q, -REAL_SCAN, 0.0, tol=tol)
     if q <= q1:
         return _line(q, "separating", reals, (), 5.0, degenerate=True,
@@ -126,7 +126,7 @@ def left_separating_line_B(q: float, tol: float = DEFAULT_TOL) -> SeparationResu
     require_q(q)
     if q >= 0:
         raise DomainError("left separating lines concern q < 0")
-    qbar1 = spectral_point_B(1, tol).q_star
+    qbar1 = spectral_point("B", 1, tol).q_star
     negs, poss = _reals_by_sign(q, tol)
     if q > qbar1:
         return _line(q, "left", negs, poss, 2.4, degenerate=True,
@@ -149,7 +149,7 @@ def right_separating_line_B(q: float, tol: float = DEFAULT_TOL) -> SeparationRes
     require_q(q)
     if q >= 0:
         raise DomainError("right separating lines concern q < 0")
-    qbar2 = spectral_point_B(2, tol).q_star
+    qbar2 = spectral_point("B", 2, tol).q_star
     negs, poss = _reals_by_sign(q, tol)
     if q > qbar2:
         return SeparationResult(

@@ -168,11 +168,15 @@ def spectral_point_B(k: int, tol: float = DEFAULT_TOL) -> SpectralPoint:
 
 
 def spectral_point(case: str, k: int, tol: float = DEFAULT_TOL) -> SpectralPoint:
+    """spectral_point_A or _B; at the default tol by the one-argument call,
+    so an explicit DEFAULT_TOL shares its cache entry."""
     if case == "A":
-        return spectral_point_A(k, tol)
-    if case == "B":
-        return spectral_point_B(k, tol)
-    raise DomainError(f"case must be 'A' or 'B', got {case!r}")
+        cached = spectral_point_A
+    elif case == "B":
+        cached = spectral_point_B
+    else:
+        raise DomainError(f"case must be 'A' or 'B', got {case!r}")
+    return cached(k) if tol == DEFAULT_TOL else cached(k, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +201,11 @@ def ordering_check(points: list[SpectralPoint]) -> dict:
 def pair_count_between(case: str, k: int, tol: float = DEFAULT_TOL) -> int:
     """Conjugate-pair count (with multiplicity) at the midpoint between
     consecutive spectral values; k = 0 uses the interval from 0."""
-    if case == "A":
-        lo = 0.0 if k == 0 else spectral_point_A(k, tol).q_star
-        hi = spectral_point_A(k + 1, tol).q_star
-        q_mid = 0.5 * (lo + hi)
-        radius = 49.8
-    elif case == "B":
-        lo = 0.0 if k == 0 else spectral_point_B(k, tol).q_star
-        hi = spectral_point_B(k + 1, tol).q_star
-        q_mid = 0.5 * (lo + hi)
-        radius = 30.0  # desk-scale coverage; full case-B bound is far larger
-    else:
-        raise DomainError(f"case must be 'A' or 'B', got {case!r}")
-    records = complex_zeros(q_mid, Disk(0.0, radius), tol)
+    lo = 0.0 if k == 0 else spectral_point(case, k, tol).q_star
+    hi = spectral_point(case, k + 1, tol).q_star
+    # case B: desk-scale coverage; its full bound is far larger
+    radius = 49.8 if case == "A" else 30.0
+    records = complex_zeros(0.5 * (lo + hi), Disk(0.0, radius), tol)
     return sum(r.multiplicity for r in records if r.kind == "complex_pair")
 
 

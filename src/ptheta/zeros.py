@@ -156,10 +156,6 @@ class Trajectory:
 # Scalar evaluation helpers
 
 
-def _f(q: float, x: complex, tol: float) -> CertifiedValue:
-    return theta_certified(q, x, tol)
-
-
 def _fx(q: float, x: complex, tol: float = 1e-10) -> CertifiedValue:
     return theta_derivative(q, x, dx_order=1, tol=tol)
 
@@ -202,7 +198,7 @@ def _refine_bracket(q, lo, hi, flo, fhi, tol):
     x = 0.5 * (a + b)
     dv = _fx(q, x).real
     tol_eff = max(tol, _residual_floor(dv, x))
-    fcv = _f(q, x, tol_eff)
+    fcv = theta_certified(q, x, tol_eff)
     for _ in range(120):
         fv = fcv.real
         if abs(fv) <= max(tol_eff, 4.0 * fcv.err):
@@ -220,7 +216,7 @@ def _refine_bracket(q, lo, hi, flo, fhi, tol):
         x = x_new
         dv = _fx(q, x).real
         tol_eff = max(tol, _residual_floor(dv, x))
-        fcv = _f(q, x, tol_eff)
+        fcv = theta_certified(q, x, tol_eff)
     else:
         raise UnresolvedBracketError(
             f"bracket [{lo}, {hi}] did not refine at q={q}; possible near-double zero"
@@ -250,7 +246,7 @@ def _scan_side(q, lo, hi, tol):
     xs = [sign * r for r in grid_r]
     if sign < 0:
         xs = xs[::-1]  # ascending x
-    vals = [_f(q, x, tol) for x in xs]
+    vals = [theta_certified(q, x, tol) for x in xs]
     i = 0
     while i < len(xs) - 1:
         v0, v1 = vals[i].real, vals[i + 1].real
@@ -312,8 +308,8 @@ def _resolve_dip(q, lo, hi, tol):
     xc = 0.5 * (a + b)
     dc = _fx(q, xc).real
     tol_eff = max(tol, _residual_floor(dc, xc))
-    fc = _f(q, xc, tol_eff)
-    f_lo, f_hi = _f(q, lo, tol), _f(q, hi, tol)
+    fc = theta_certified(q, xc, tol_eff)
+    f_lo, f_hi = theta_certified(q, lo, tol), theta_certified(q, hi, tol)
     if abs(fc.real) <= 10.0 * fc.err:
         # certified touch within precision: record once, multiplicity 2
         return [(xc, abs(fc.real), max(fc.err, tol_eff / 10.0), dc)]
@@ -417,7 +413,8 @@ def zero_count(q: float, region, tol: float = DEFAULT_TOL) -> int:
 
     Refines until successive contour samples move the argument by < pi/2;
     raises ContourError when a sample is not certifiably nonzero (a zero too
-    close to the contour) or the total fails to close to an integer.
+    close to the contour), or the total fails to close to an integer or
+    closes below 0 (theta(q, .) is entire, so the sampling missed turns).
     """
     require_q(q)
     segments = region.boundary_segments() if hasattr(region, "boundary_segments") else region
@@ -467,6 +464,8 @@ def zero_count(q: float, region, tol: float = DEFAULT_TOL) -> int:
     ki = round(k)
     if abs(k - ki) > 0.05:
         raise ContourError(f"winding total {k} is not close to an integer")
+    if ki < 0:
+        raise ContourError(f"winding total {ki} is negative: the contour is undersampled")
     return ki
 
 

@@ -27,35 +27,44 @@ def tail_direct(q, x, n):
     return q ** tri(n + 1) * x ** (n + 1) / (1.0 - q ** (n + 2) * x)
 
 
-def bisection_order(q_abs, x_abs, tol):
-    """Reference order solve: bisection for the smallest N up to the cap."""
+def bisection_order(q_abs, x_abs, tol, m=0, nq=0):
+    """Reference order solve for the (d/dx)^m (d/dq)^nq series (m = nq = 0:
+    the series): bisection, up to the cap, first for the smallest n >= j0
+    with term ratio t_{n+1}/t_n <= 1/2, then for the smallest n from there
+    with tail t_{n+1}/(1 - t_{n+2}/t_{n+1}) <= tol."""
+    j0 = m
+    while deriv_coeff(j0, m, nq) == 0:
+        j0 += 1
     if x_abs == 0.0 or q_abs == 0.0:
-        return 0, 0.0
+        return j0, 0.0
     cap = n_cap()
     lq, lx, log_tol = math.log(q_abs), math.log(x_abs), math.log(tol)
 
-    def log_tail(n):
-        r = math.exp(min((n + 2) * lq + lx, -LN2))
-        return tri(n + 1) * lq + (n + 1) * lx - math.log1p(-r)
+    def log_c(j):
+        return math.log(deriv_coeff(j, m, nq)) if m or nq else 0.0
 
-    n0 = max(0, math.ceil((-LN2 - lx) / lq) - 1)
-    while (n0 + 1) * lq + lx > -LN2:
-        n0 += 1
-    if n0 > cap:
-        raise InfeasibleToleranceError("ratio order past the cap")
-    if log_tail(n0) <= log_tol:
-        n = n0
-    else:
-        lo, hi = n0, cap
-        if log_tail(hi) > log_tol:
-            raise InfeasibleToleranceError("tolerance unreachable")
+    def ratio_ok(n):
+        return (log_c(n + 1) - log_c(n)) + (n + 1) * lq + lx <= -LN2
+
+    def log_tail(n):
+        r = math.exp(min((log_c(n + 2) - log_c(n + 1)) + (n + 2) * lq + lx, -LN2))
+        return log_c(n + 1) + (tri(n + 1) - nq) * lq + (n + 1 - m) * lx - math.log1p(-r)
+
+    def smallest(ok, lo):
+        if lo <= cap and ok(lo):
+            return lo
+        hi = cap
+        if lo > cap or not ok(hi):
+            raise InfeasibleToleranceError("order past the cap")
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if log_tail(mid) <= log_tol:
+            if ok(mid):
                 hi = mid
             else:
                 lo = mid
-        n = hi
+        return hi
+
+    n = smallest(lambda n: log_tail(n) <= log_tol, smallest(ratio_ok, j0))
     return n, math.exp(min(log_tail(n) + 1e-6, 700.0))
 
 
@@ -154,27 +163,15 @@ class TestDerivativeTruncation:
         )
         assert brute <= tail <= 1e-12 * 1.001
 
-    @pytest.mark.parametrize("m,nq", SUPPORTED_ORDERS)
+    @pytest.mark.parametrize("m,nq", [(0, 0)] + SUPPORTED_ORDERS)
     def test_smallest_order(self, m, nq):
         rng = random.Random(100 * m + nq)
         for _ in range(150):
             q = rng.choice([rng.uniform(0.01, 0.99), 1.0 - 10 ** rng.uniform(-3, -1)])
             x = 10 ** rng.uniform(-4, 2.5)
             tol = 10 ** rng.uniform(-30, 0)
-            lq, lx = math.log(q), math.log(x)
-
-            def log_term(j):
-                return math.log(deriv_coeff(j, m, nq)) + (tri(j) - nq) * lq + (j - m) * lx
-
-            j0 = m
-            while deriv_coeff(j0, m, nq) == 0:
-                j0 += 1
-            n = max(j0 + 2, 3)
-            while not (log_term(n + 2) - log_term(n + 1) <= -LN2
-                       and log_term(n + 1) + LN2 <= math.log(tol)):
-                n += 1
-            tail = math.exp(min(log_term(n + 1) + LN2 + 1e-6, 700.0))
-            assert derivative_truncation(q, x, m, nq, tol) == (n, tail), (q, x, tol)
+            got = derivative_truncation(q, x, m, nq, tol)
+            assert got == bisection_order(q, x, tol, m, nq), (q, x, tol)
 
     def test_infeasible_under_low_cap(self, monkeypatch):
         monkeypatch.setenv("THETA_MAX_N", "30")

@@ -173,6 +173,14 @@ class TestOrdering:
         with pytest.raises(DomainError):
             spectral_point("C", 1)
 
+    def test_default_tol_shares_one_cache_entry(self):
+        from ptheta.separation import separating_line_A
+
+        spectral_point_A.cache_clear()
+        spectral_point_A(1)
+        separating_line_A(0.6)  # looks up the first value at tol = DEFAULT_TOL
+        assert spectral_point_A.cache_info().misses == 1
+
 
 class TestPairCounts:
     def test_case_a_staircase(self):

@@ -105,6 +105,12 @@ class TestWinding:
         with pytest.raises(ContourError):
             zero_count(0.265, Disk(0.0, abs(rz.x.real)), tol=1e-8)
 
+    @pytest.mark.parametrize("q,radius", [(0.95, 49.8), (-0.97, 12.0)])
+    def test_negative_winding_total_rejected(self, q, radius):
+        # theta(q, .) is entire, so a total below 0 means missed turns
+        with pytest.raises(ContourError):
+            zero_count(q, Disk(0.0, radius))
+
 
 class TestComplexZeros:
     def test_all_real_below_first_collision(self):
