@@ -3,9 +3,10 @@
 Real zeros come from sign-change scanning on a grid geometric in |x| (the
 zeros thin out like |q|^{-j}, so a fixed number of nodes per logarithmic gap
 suffices), refined by bisection-safeguarded Newton.  Complex zeros come from
-an Aberth-Ehrlich simultaneous solve of the truncation polynomial, polished
-by Newton on the certified series and cross-validated against an
-argument-principle winding count.
+an Aberth-Ehrlich simultaneous solve of the truncation polynomial, which
+stops once every root has stopped moving or sits at the rounding level of
+its Horner value, polished by Newton on the certified series and
+cross-validated against an argument-principle winding count.
 """
 
 from __future__ import annotations
@@ -473,17 +474,47 @@ def zero_count(q: float, region, tol: float = DEFAULT_TOL) -> int:
 # Complex zeros via the truncation polynomial
 
 
+def _horner(coeffs_desc, z):
+    """One Horner pass over descending coefficients: p(z), p'(z) and the
+    majorant sum_j |c_j| |z|^j that bounds Horner's rounding error."""
+    r = abs(z)
+    p = dp = 0.0 * z
+    maj = 0.0 * r
+    for c in coeffs_desc:
+        dp = dp * z + p
+        p = p * z + c
+        maj = maj * r + abs(c)
+    return p, dp, maj
+
+
+def _at_noise_floor(p, maj, n):
+    """|p(z)| <= 4 n eps sum |c_j| |z|^j for a degree-n polynomial.
+
+    Horner's rounding error is at most gamma_2n sum |c_j| |z|^j in real
+    arithmetic (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 5.1); twice that covers complex rounding.  Below it the
+    computed p(z) is rounding noise: z is an exact root of a polynomial whose
+    coefficients are within relative 4 n eps of the given ones.
+    """
+    return abs(p) <= 4.0 * n * EPS * maj
+
+
 def _aberth(coeffs: np.ndarray, maxiter: int = 600, rtol: float = 1e-13) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous iteration; coeffs ascending in z."""
+    """Aberth-Ehrlich simultaneous iteration; coeffs ascending in z.
+
+    Stops once every root either moved by less than rtol relative in this
+    iteration or had |p(z)| <= 4 n eps sum |c_j| |z|^j, the rounding level
+    of its Horner value (`_at_noise_floor`; Bini, Numer. Algorithms 13
+    (1996)).  All roots keep moving until then: roots frozen in the noise
+    region would distort the Aberth sum of the rest.
+    """
     c = np.asarray(coeffs, dtype=np.complex128)
     n = len(c) - 1
-    dc = c[1:] * np.arange(1, n + 1)
     ang = 2.0 * np.pi * (np.arange(n) + 0.3) / n
     z = 1.1 * np.exp(1j * ang)
-    cr, dcr = c[::-1], dc[::-1]
+    cr = c[::-1]
     for _ in range(maxiter):
-        p = np.polyval(cr, z)
-        dp = np.polyval(dcr, z)
+        p, dp, maj = _horner(cr, z)
         dp = np.where(dp == 0, 1e-300, dp)
         w = p / dp
         diff = z[:, None] - z[None, :]
@@ -493,7 +524,8 @@ def _aberth(coeffs: np.ndarray, maxiter: int = 600, rtol: float = 1e-13) -> np.n
         denom = np.where(denom == 0, 1e-300, denom)
         step = w / denom
         z = z - step
-        if np.max(np.abs(step) / np.maximum(np.abs(z), 1e-12)) < rtol:
+        settled = np.abs(step) < rtol * np.maximum(np.abs(z), 1e-12)
+        if np.all(settled | _at_noise_floor(p, maj, n)):
             break
     return z
 
@@ -523,16 +555,17 @@ def _polish_series(q, z, tol, maxiter=40):
 
 
 def _polish_poly(coeffs_desc, z, maxiter=60):
-    dcoeffs = np.polyder(coeffs_desc)
+    """Newton on the polynomial itself; stops where the derivative vanishes
+    or |p(z)| <= 4 n eps sum |c_j| |z|^j, the rounding level of Horner's
+    value (`_at_noise_floor`; Higham, sec. 5.1)."""
+    coeffs = coeffs_desc.tolist()
+    n = len(coeffs) - 1
+    z = complex(z)
     for _ in range(maxiter):
-        f = np.polyval(coeffs_desc, z)
-        d = np.polyval(dcoeffs, z)
-        if d == 0:
+        f, d, maj = _horner(coeffs, z)
+        if d == 0 or _at_noise_floor(f, maj, n):
             break
-        step = f / d
-        z = z - step
-        if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            break
+        z = z - f / d
     return z
 
 

@@ -82,6 +82,12 @@ class TestCaseBLines:
         ("separating", 0.5, 7.834526906503678, 2.834526906503678),
         ("left", -0.8, 3.1832531860129576, 0.7832531860129577),
         ("right", -0.8, 4.000764013619651, 0.8007640136196503),
+        ("separating", 0.35, 14.871740777763954, 8.720859280391263),
+        ("separating", 0.6, 10.874109922324246, 3.2748539602856557),
+        ("separating", 0.8, 16.840177505104226, 1.848285633112301),
+        ("left", -0.75, 4.196416853947946, 1.450490511571692),
+        ("left", -0.85, 4.265075329492491, 0.8311046795237842),
+        ("right", -0.85, 3.3144815494747215, 0.11448154947472178),
     ])
     def test_pinned_line(self, kind, q, a, margin):
         res = separating_line(q, kind)

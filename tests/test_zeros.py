@@ -2,20 +2,26 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from ptheta.certified import DEFAULT_TOL, EPS, truncation_order
 from ptheta.errors import AmbiguousIndexError, ContourError, DomainError
 from ptheta.zeros import (
     ClippedLeftHalfDisk,
     Disk,
     HalfAnnulusRight,
     Rectangle,
+    _aberth,
+    _horner,
+    _polish_poly,
     assign_case_b_indices,
     complex_zeros,
     real_zeros,
     track_zero,
     track_zeros,
     zero_count,
+    truncation_coefficients,
 )
 
 FIRST_COLLISION_Q = 0.3092493386
@@ -142,6 +148,42 @@ class TestComplexZeros:
     def test_residual_invariant(self):
         for r in complex_zeros(0.5, Disk(0.0, 20.0)):
             assert r.residual <= 10 * r.err
+
+    @pytest.mark.parametrize("q,radius,n_override,kinds", [
+        (0.5, 10.0, None, "P"),
+        (-0.7, 10.0, None, "RRRRRR"),
+        (0.75, 49.8, None, "RRRPPPPP"),
+        (-0.9, 12.0, None, "RRRRRPPPRPPPRRRRR"),
+        (-0.96, 3.0, 140, "PPPPPPRPPPP"),
+    ])
+    def test_pinned_disk_records(self, q, radius, n_override, kinds):
+        # record kinds in order of Re x; R = real, P = complex pair
+        records = complex_zeros(q, Disk(0.0, radius), n_override=n_override)
+        assert "".join("R" if r.kind == "real" else "P" for r in records) == kinds
+
+
+DEGREE_140 = truncation_coefficients(-0.96, 140, scale=3.0)[0]
+
+
+class TestPolynomialStops:
+    @pytest.mark.parametrize("q,radius,n", [(-0.96, 3.0, 140), (-0.9, 12.0, None)])
+    def test_aberth_stops_before_200_iterations(self, q, radius, n):
+        if n is None:
+            n, _ = truncation_order(abs(q), radius, DEFAULT_TOL / 10.0)
+        coeffs, _ = truncation_coefficients(q, n, scale=radius)
+        assert np.array_equal(_aberth(coeffs, maxiter=200), _aberth(coeffs))
+
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-6])
+    def test_polish_stops_at_noise_floor(self, perturbation):
+        roots = _aberth(DEGREE_140)
+        inside = roots[np.abs(roots) <= 1.0]
+        assert len(inside) == 21
+        desc = DEGREE_140[::-1]
+        for z0 in inside * (1.0 + perturbation * (1.0 + 1.0j)):
+            z = _polish_poly(desc, z0)
+            assert _polish_poly(desc, z0, maxiter=8) == z
+            p, _, majorant = _horner(desc, z)
+            assert abs(p) <= 4 * 140 * EPS * majorant
 
 
 class TestNearDouble:
