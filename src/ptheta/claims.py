@@ -213,12 +213,10 @@ def check_minus24_and_plus24(n: int = 500, tol: float = DEFAULT_TOL) -> ClaimRep
                  f"[-0.97,-5/12], {n} nodes each")
 
     # degree-100 truncation margins on [-0.97, 0]
-    worst_neg, worst_pos = math.inf, -math.inf
+    worst_neg = math.inf
     for q in _grid(-0.97, -1e-6, 300):
         lo = theta_partial_sum(q, -2.4, 100)
-        hi = theta_partial_sum(q, 2.4, 100)
         worst_neg = min(worst_neg, lo.real - lo.err)
-        worst_pos = max(worst_pos, hi.real + hi.err)
     if not worst_neg > 0.2:
         return ClaimReport(rep.id, "violated", None, worst_neg,
                            ("degree-100 truncation at -2.4 dips below 0.2",))
@@ -397,8 +395,7 @@ def check_theta_qa_monotone(a: float, n: int = 200, tol: float = DEFAULT_TOL) ->
             return ClaimReport(cid, "indeterminate", (q, a), v.real, tuple(notes))
         worst = min(worst, v.real - v.err)
     if float(a).is_integer():
-        for q in qs[:: max(1, n // 20)]:
-            lhs = theta_at_diagonal(q, a, tol)
+        for q, lhs in list(zip(qs, vals))[:: max(1, n // 20)]:
             rhs = phi(q, a + 1.0, tol).scaled(q ** int(a))
             if abs(lhs.real - rhs.real) > lhs.err + rhs.err + 1e-12:
                 return ClaimReport(cid, "violated", (q, a), lhs.real - rhs.real,
@@ -717,7 +714,6 @@ class RunConfig:
     cases: tuple[str, ...] = ("A", "B")
     identity_samples: int = 2000
     include: tuple[str, ...] | None = None
-    tol: float = DEFAULT_TOL
 
 
 def run_all(config: RunConfig = RunConfig()) -> list[ClaimReport]:
@@ -741,7 +737,7 @@ def run_all(config: RunConfig = RunConfig()) -> list[ClaimReport]:
             reports.append(ClaimReport(cid, "indeterminate", None, None,
                                        (f"check aborted: {exc}",)))
     if config.include is None or any(i.startswith("identity") for i in config.include):
-        identity_reports = check_identities(config.identity_samples, tol=config.tol)
+        identity_reports = check_identities(config.identity_samples)
         if config.include is not None:
             identity_reports = [r for r in identity_reports if r.id in config.include]
         reports += identity_reports

@@ -75,10 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    def output(sp):
         sp.add_argument("--format", choices=("json", "csv", "table"))
         sp.add_argument("--output", help="write to this path instead of stdout")
+
+    def common(sp):
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        output(sp)
 
     e = sub.add_parser("eval", help="evaluate the function with an error bound")
     e.add_argument("--q", type=float)
@@ -119,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all",
                    help="all | case-a | case-b | comma-separated claim ids")
     v.add_argument("--identity-samples", type=int, default=2000)
-    common(v)
+    # every claim fixes its own tolerance, so verify takes no --tol
+    output(v)
     return p
 
 
@@ -240,16 +244,15 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tol(args)
     suite = args.suite.lower()
     if suite == "all":
-        config = RunConfig(identity_samples=args.identity_samples, tol=tol)
+        config = RunConfig(identity_samples=args.identity_samples)
     elif suite in ("case-a", "case-b"):
         config = RunConfig(cases=("A",) if suite == "case-a" else ("B",),
-                           identity_samples=args.identity_samples, tol=tol)
+                           identity_samples=args.identity_samples)
     else:
         config = RunConfig(include=tuple(s.strip() for s in args.suite.split(",")),
-                           identity_samples=args.identity_samples, tol=tol)
+                           identity_samples=args.identity_samples)
     reports = run_all(config)
     fmt = _pick_format(args)
     if fmt == "json":

@@ -6,7 +6,13 @@ suffices), refined by bisection-safeguarded Newton.  Complex zeros come from
 an Aberth-Ehrlich simultaneous solve of the truncation polynomial, which
 stops once every root has stopped moving or sits at the rounding level of
 its Horner value, polished by Newton on the certified series and
-cross-validated against an argument-principle winding count.
+cross-validated against an argument-principle winding count.  Continuation
+corrects each predicted point by Newton in x.
+
+Every refined root -- bracket, dip, complex record or tracked point -- is
+accepted on one evaluation, `_at`: theta_x, then theta at a tolerance
+floored by the residual that slope attains given ulp(x).  The root carries
+that certified theta and theta_x; nothing is evaluated again to report it.
 """
 
 from __future__ import annotations
@@ -72,12 +78,6 @@ class Rectangle:
     im_lo: float
     im_hi: float
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            self.re_lo + margin <= z.real <= self.re_hi - margin
-            and self.im_lo + margin <= z.imag <= self.im_hi - margin
-        )
-
     def boundary_segments(self):
         corners = [
             complex(self.re_lo, self.im_lo),
@@ -98,12 +98,6 @@ class HalfAnnulusRight:
     r_inner: float = 1.0
     r_outer: float = 5.0
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            z.real >= margin
-            and self.r_inner + margin < abs(z) < self.r_outer - margin
-        )
-
     def boundary_segments(self):
         ri, ro = self.r_inner, self.r_outer
         return [
@@ -120,13 +114,6 @@ class ClippedLeftHalfDisk:
 
     radius: float = 3.0
     im_cap: float = 3.0 / math.sqrt(2.0)
-
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            abs(z) <= self.radius - margin
-            and z.real <= -margin
-            and abs(z.imag) <= self.im_cap - margin
-        )
 
     def boundary_segments(self):
         r, c = self.radius, self.im_cap
@@ -157,12 +144,39 @@ class Trajectory:
 # Scalar evaluation helpers
 
 
-def _fx(q: float, x: complex, tol: float = 1e-10) -> CertifiedValue:
-    return theta_derivative(q, x, dx_order=1, tol=tol)
+def _fx(q: float, x: complex) -> CertifiedValue:
+    return theta_derivative(q, x, dx_order=1, tol=1e-10)
 
 
-def _fq(q: float, x: complex, tol: float = 1e-10) -> CertifiedValue:
-    return theta_derivative(q, x, dq_order=1, tol=tol)
+def _residual_floor(deriv: complex, x: complex) -> float:
+    """Attainable |theta| at a root: slope times the argument granularity."""
+    return abs(complex(deriv)) * 4.0 * EPS * (abs(x) + 1.0)
+
+
+def _at(q: float, x: complex, tol: float):
+    """(theta, theta_x, tol_eff) at a candidate root.
+
+    theta is evaluated at tol_eff = max(tol, the residual attainable given
+    the slope and ulp(x)), so the err a root reports, max(err, tol_eff/10),
+    always covers its residual.
+    """
+    d = _fx(q, x)
+    tol_eff = max(tol, _residual_floor(d.value, x))
+    return theta_certified(q, x, tol_eff), d, tol_eff
+
+
+def _newton(q: float, x: complex, tol: float, maxiter: int):
+    """Newton in x until |theta| <= max(tol_eff, 10 err); returns the
+    accepted iterate with the theta and theta_x it was accepted on, or
+    raises UnresolvedBracketError after maxiter evaluations."""
+    for _ in range(maxiter):
+        f, d, tol_eff = _at(q, x, tol)
+        if abs(complex(f.value)) <= max(tol_eff, 10.0 * f.err):
+            return x, f, d
+        if d.value == 0:
+            raise UnresolvedBracketError("flat derivative in corrector")
+        x = x - complex(f.value) / complex(d.value)
+    raise UnresolvedBracketError("corrector did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +193,20 @@ def _side_grid(q_abs: float, r_lo: float, r_hi: float):
     return [r_lo * math.exp(span * i / n) for i in range(n + 1)]
 
 
-def _residual_floor(deriv: complex, x: complex) -> float:
-    """Attainable |theta| at a root: slope times the argument granularity."""
-    return abs(complex(deriv)) * 4.0 * EPS * (abs(x) + 1.0)
-
-
 def _refine_bracket(q, lo, hi, flo, fhi, tol):
     """Bisection-safeguarded Newton on a sign-change bracket.
 
-    The evaluation tolerance is floored at the residual attainable given the
-    local slope and ulp(x), so reported err always covers the residual.
-    Returns (x, residual, err, theta_x at root).
+    Returns (x, residual, err, theta_x at root), all from `_at` at x.
     """
     if (flo > 0) == (fhi > 0):
         raise UnresolvedBracketError(
             f"[{lo}, {hi}] does not bracket a sign change at q={q}"
         )
-    a, b, fa, fb = lo, hi, flo, fhi
+    a, b, fa = lo, hi, flo
     x = 0.5 * (a + b)
-    dv = _fx(q, x).real
-    tol_eff = max(tol, _residual_floor(dv, x))
-    fcv = theta_certified(q, x, tol_eff)
     for _ in range(120):
-        fv = fcv.real
+        fcv, dcv, tol_eff = _at(q, x, tol)
+        fv, dv = fcv.real, dcv.real
         if abs(fv) <= max(tol_eff, 4.0 * fcv.err):
             break
         if b - a <= 8.0 * EPS * max(abs(a), abs(b)):
@@ -210,14 +215,11 @@ def _refine_bracket(q, lo, hi, flo, fhi, tol):
         if (fv > 0) == (fa > 0):
             a, fa = x, fv
         else:
-            b, fb = x, fv
+            b = x
         x_new = x - fv / dv if dv != 0 else 0.5 * (a + b)
         if not (a < x_new < b):
             x_new = 0.5 * (a + b)
         x = x_new
-        dv = _fx(q, x).real
-        tol_eff = max(tol, _residual_floor(dv, x))
-        fcv = theta_certified(q, x, tol_eff)
     else:
         raise UnresolvedBracketError(
             f"bracket [{lo}, {hi}] did not refine at q={q}; possible near-double zero"
@@ -272,7 +274,8 @@ def _scan_side(q, lo, hi, tol):
             vm = _parabola_extremum(xs[i - 1], vals[i - 1].real, xs[i], v0,
                                     xs[i + 1], v1)
             if abs(vm) <= 0.05 * max(abs(vals[i - 1].real), abs(v1)):
-                out.extend(_resolve_dip(q, xs[i - 1], xs[i + 1], tol))
+                out.extend(_resolve_dip(q, xs[i - 1], xs[i + 1],
+                                        vals[i - 1].real, v1, tol))
         i += 1
     return out
 
@@ -290,12 +293,13 @@ def _parabola_extremum(x0, y0, x1, y1, x2, y2):
     return y1 - b * b / (4.0 * a)
 
 
-def _resolve_dip(q, lo, hi, tol):
-    """Handle a deep |theta| dip: locate the critical point and decide
-    whether it hides two close zeros or a multiplicity-2 touch."""
+def _resolve_dip(q, lo, hi, f_lo, f_hi, tol):
+    """Handle a deep |theta| dip between scan nodes lo and hi (theta values
+    f_lo, f_hi): locate the critical point and decide whether it hides two
+    close zeros or a multiplicity-2 touch."""
     a, b = lo, hi
-    da, db = _fx(q, a).real, _fx(q, b).real
-    if (da > 0) == (db > 0):
+    da = _fx(q, a).real
+    if (da > 0) == (_fx(q, b).real > 0):
         return []
     for _ in range(200):
         m = 0.5 * (a + b)
@@ -303,22 +307,19 @@ def _resolve_dip(q, lo, hi, tol):
         if (dm > 0) == (da > 0):
             a, da = m, dm
         else:
-            b, db = m, dm
+            b = m
         if b - a <= 4.0 * EPS * max(abs(a), abs(b), 1.0):
             break
     xc = 0.5 * (a + b)
-    dc = _fx(q, xc).real
-    tol_eff = max(tol, _residual_floor(dc, xc))
-    fc = theta_certified(q, xc, tol_eff)
-    f_lo, f_hi = theta_certified(q, lo, tol), theta_certified(q, hi, tol)
+    fc, dc, tol_eff = _at(q, xc, tol)
     if abs(fc.real) <= 10.0 * fc.err:
         # certified touch within precision: record once, multiplicity 2
-        return [(xc, abs(fc.real), max(fc.err, tol_eff / 10.0), dc)]
+        return [(xc, abs(fc.real), max(fc.err, tol_eff / 10.0), dc.real)]
     out = []
-    if (fc.real > 0) != (f_lo.real > 0):
-        out.append(_refine_bracket(q, lo, xc, f_lo.real, fc.real, tol))
-    if (fc.real > 0) != (f_hi.real > 0):
-        out.append(_refine_bracket(q, xc, hi, fc.real, f_hi.real, tol))
+    if (fc.real > 0) != (f_lo > 0):
+        out.append(_refine_bracket(q, lo, xc, f_lo, fc.real, tol))
+    if (fc.real > 0) != (f_hi > 0):
+        out.append(_refine_bracket(q, xc, hi, fc.real, f_hi, tol))
     return out
 
 
@@ -418,7 +419,7 @@ def zero_count(q: float, region, tol: float = DEFAULT_TOL) -> int:
     closes below 0 (theta(q, .) is entire, so the sampling missed turns).
     """
     require_q(q)
-    segments = region.boundary_segments() if hasattr(region, "boundary_segments") else region
+    segments = region.boundary_segments()
 
     def val(z):
         cv = theta_certified(q, z, tol)
@@ -627,20 +628,17 @@ def complex_zeros(
         z = sum(cl) / len(cl)
         mult = len(cl)
         count_inside += mult
-        res, cerr = _residual_at(q, z, tol)
         if abs(z.imag) <= im_floor * max(1.0, abs(z)):
-            records.append(
-                ZeroRecord(q=q, x=complex(z.real, 0.0), kind="real",
-                           multiplicity=mult, residual=res, err=cerr)
-            )
-            continue
-        rep = z if z.imag > 0 else z.conjugate()
-        if any(abs(rep - p) <= 1e3 * tol * max(1.0, abs(rep)) for p in seen_pairs):
-            continue
-        seen_pairs.append(rep)
+            x, kind = complex(z.real, 0.0), "real"
+        else:
+            x, kind = (z if z.imag > 0 else z.conjugate()), "complex_pair"
+            if any(abs(x - p) <= 1e3 * tol * max(1.0, abs(x)) for p in seen_pairs):
+                continue
+            seen_pairs.append(x)
+        f, _, tol_eff = _at(q, z, tol)
         records.append(
-            ZeroRecord(q=q, x=rep, kind="complex_pair",
-                       multiplicity=mult, residual=res, err=cerr)
+            ZeroRecord(q=q, x=x, kind=kind, multiplicity=mult,
+                       residual=abs(complex(f.value)), err=max(f.err, tol_eff / 10.0))
         )
 
     winding = zero_count(q, region, tol)
@@ -675,14 +673,16 @@ def track_zeros(
     if q_from == q_to or (q_from > 0) != (q_to > 0):
         raise DomainError("tracking requires distinct q of one sign")
     trajs = [Trajectory() for _ in starts]
-    xs = [complex(x) for x in starts]
     q = q_from
-    for i, t in enumerate(trajs):
-        xr = _newton_in_x(q, xs[i], tol)
-        xs[i] = xr
+    # xs[i], ds[i]: trajectory i's last point and the theta_x it was accepted on
+    xs, ds = [], []
+    for x, t in zip(starts, trajs):
+        x, f, d = _newton(q, complex(x), tol, 40)
+        xs.append(x)
+        ds.append(d)
         t.q_grid.append(q)
-        t.points.append(xr)
-        t.residuals.append(_residual_at(q, xr, tol)[0])
+        t.points.append(x)
+        t.residuals.append(abs(complex(f.value)))
 
     direction = 1.0 if q_to > q_from else -1.0
     h = direction * min(max_step, abs(q_to - q_from))
@@ -701,21 +701,20 @@ def track_zeros(
             q_next = q_to
         proposals = {}
         ok = True
-        hard_fail = False
         for i, t in enumerate(trajs):
             if not t.alive:
                 continue
-            dxdq = _velocity(q, xs[i])
-            x_pred = xs[i] + (q_next - q) * dxdq
+            # predictor: dx/dq = -theta_q / theta_x; the corrector must
+            # converge within 4 evaluations, else the step halves
+            dxdq = 0.0
+            if ds[i].value != 0:
+                fq = theta_derivative(q, xs[i], dq_order=1, tol=1e-10)
+                dxdq = -complex(fq.value) / complex(ds[i].value)
             try:
-                x_corr, iters = _newton_in_x_counted(q_next, x_pred, tol)
+                proposals[i] = _newton(q_next, xs[i] + (q_next - q) * dxdq, tol, 4)
             except (ArithmeticError, UnresolvedBracketError):
-                ok, hard_fail = False, True
-                break
-            if iters > 4:
                 ok = False
                 break
-            proposals[i] = x_corr
         if not ok:
             h *= 0.5
             continue
@@ -725,18 +724,18 @@ def track_zeros(
         for a in range(len(live)):
             for b in range(a + 1, len(live)):
                 i, j = live[a], live[b]
-                if abs(proposals[i] - proposals[j]) < 10.0 * abs(q_next - q):
-                    _freeze_pair(trajs, xs, q_next, (i, j),
-                                 0.5 * (proposals[i] + proposals[j]))
+                xi, xj = proposals[i][0], proposals[j][0]
+                if abs(xi - xj) < 10.0 * abs(q_next - q):
+                    _freeze_pair(trajs, xs, q_next, (i, j), 0.5 * (xi + xj))
                     collided = True
         q = q_next
-        for i in proposals:
+        for i, (x, f, d) in proposals.items():
             if not trajs[i].alive:
                 continue
-            xs[i] = proposals[i]
+            xs[i], ds[i] = x, d
             trajs[i].q_grid.append(q)
-            trajs[i].points.append(xs[i])
-            trajs[i].residuals.append(_residual_at(q, xs[i], tol)[0])
+            trajs[i].points.append(x)
+            trajs[i].residuals.append(abs(complex(f.value)))
         if not collided:
             h = direction * min(max_step, abs(h) * 1.4)
     return trajs
@@ -771,42 +770,3 @@ def _freeze_pair(trajs, xs, q, pair, meet=None):
     trajs[j].collision_partner = i
     if meet is not None:
         xs[i] = xs[j] = meet
-
-
-def _velocity(q, x):
-    fx = _fx(q, x).value
-    fq = _fq(q, x).value
-    if fx == 0:
-        return 0.0
-    return -complex(fq) / complex(fx)
-
-
-
-def _residual_at(q, x, tol):
-    """(residual, err) at a refined root; err absorbs the slope-aware
-    attainability floor so residual <= 10 err stays meaningful at any scale."""
-    d = theta_derivative(q, x, dx_order=1)
-    tol_eff = max(tol, _residual_floor(d.value, x))
-    f = theta_certified(q, x, tol_eff)
-    return abs(complex(f.value)), max(f.err, tol_eff / 10.0)
-
-
-def _newton_in_x_counted(q, x, tol, maxiter=12):
-    tol_eff = tol
-    for it in range(1, maxiter + 1):
-        f = theta_certified(q, x, tol_eff)
-        if abs(complex(f.value)) <= max(tol_eff, 10.0 * f.err):
-            return x, it
-        d = theta_derivative(q, x, dx_order=1)
-        if d.value == 0:
-            raise UnresolvedBracketError("flat derivative in corrector")
-        tol_eff = max(tol, _residual_floor(d.value, x))
-        x = x - complex(f.value) / complex(d.value)
-    f = theta_certified(q, x, tol_eff)
-    if abs(complex(f.value)) <= max(tol_eff, 10.0 * f.err):
-        return x, maxiter
-    raise UnresolvedBracketError("corrector did not converge")
-
-
-def _newton_in_x(q, x, tol):
-    return _newton_in_x_counted(q, x, tol, maxiter=40)[0]

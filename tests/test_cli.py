@@ -166,6 +166,13 @@ class TestVerify:
         capsys.readouterr()
         assert code == 1
 
+    def test_tol_is_a_usage_error(self):
+        # claims fix their own tolerances; verify rejects --tol like any
+        # unknown flag
+        r = run_cli("verify", "--suite", "phi1-initial-slope", "--tol", "1e-10")
+        assert r.returncode == 2
+        assert "--tol" in r.stderr
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"
         r = run_cli("verify", "--suite", "phi1-initial-slope",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ptheta import oracle
 from ptheta.certified import DEFAULT_TOL, EPS, truncation_order
 from ptheta.errors import AmbiguousIndexError, ContourError, DomainError
 from ptheta.zeros import (
@@ -226,6 +227,17 @@ class TestTracking:
         traj = track_zero((0.05, rz[1].x), 0.30, max_step=0.01)
         xs = [p.real for p in traj.points]
         assert all(b > a for a, b in zip(xs, xs[1:]))
+
+    def test_tracked_points_match_oracle(self):
+        # every accepted corrector point is a root to the corrector's
+        # tolerance, wherever its iteration stopped
+        rz = sorted(real_zeros(0.05, -900.0, 0.0), key=lambda r: -r.x.real)
+        traj = track_zero((0.05, rz[1].x), 0.30, max_step=0.01)
+        samples = list(zip(traj.q_grid, traj.points))
+        for q, p in samples[::6] + samples[-1:]:
+            x = p.real
+            ref = oracle.real_zero_ref(q, x - 1e-6 * abs(x), x + 1e-6 * abs(x))
+            assert abs(x - float(ref)) <= 1e-9 * abs(x)
 
     def test_case_b_direction(self):
         rz = real_zeros(-0.4, -50.0, 50.0)
